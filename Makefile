@@ -14,9 +14,10 @@ PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 test: lint test-unpacked test-packed bench-smoke serve-smoke
 
 # Lint gate.  repro-lint (tools/repro_lint/, dependency-free) always
-# runs: it carries both the project-invariant rules RL001-RL005 and a
-# stdlib mirror of the pyproject ruff selection, so the hermetic
-# container enforces the same floor as CI.  When ruff is installed it
+# runs: it carries both the project-invariant rules (RL001-RL006 and
+# RL008; `--list-rules` prints them) and a stdlib mirror of the pyproject
+# ruff selection, so the hermetic container enforces the same floor as
+# CI.  When ruff is installed it
 # runs first for the richer diagnostics on the shared hygiene rules.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

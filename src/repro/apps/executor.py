@@ -48,8 +48,7 @@ Every entry point here takes one :class:`repro.config.RunConfig`
 (``config=``) in place of the historical kwarg fan; per-field kwargs
 remain as overrides, and with neither the fast preset
 (packed + column + sparse) applies.  Request validation lives behind
-:func:`repro.config.validate_task_kwargs` / ``RunConfig.validate_for`` —
-this module re-exports the old underscore names as aliases.
+:func:`repro.config.validate_task_kwargs` / ``RunConfig.validate_for``.
 """
 
 from __future__ import annotations
@@ -67,14 +66,7 @@ from typing import (
 
 import numpy as np
 
-from ..config import (
-    RunConfig,
-    _ENGINE_PROBE_CACHE as _ENGINE_PROBE_CACHE,
-    _engine_param_names as _engine_param_names,
-    _kernel_sig_info as _kernel_sig_info,
-    _probe_engine_kwargs as _probe_engine_kwargs,
-    validate_task_kwargs,
-)
+from ..config import RunConfig, validate_task_kwargs
 from ..core.backend import get_backend, set_backend
 from ..energy.model import EnergyLedger
 from ..imsc.engine import InMemorySCEngine
@@ -157,16 +149,6 @@ def pool_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     from ..serve.pool import WorkerPool  # deferred: serve sits above apps
     with WorkerPool(workers, mp_context=mp_context) as one_shot:
         return one_shot.map(fn, tasks)
-
-
-# The cached engine/kernel kwarg validation machinery used to live here;
-# it is now the single copy in :mod:`repro.config` (behind
-# ``RunConfig.validate_for``), shared with the serving scheduler.  The
-# historical underscore names stay importable from this module — tests and
-# external callers poke them (`_ENGINE_PROBE_CACHE.clear()` etc.), and the
-# aliases are the *same* objects, so clearing the cache here clears it
-# everywhere.
-_validate_task_kwargs = validate_task_kwargs
 
 
 def _run_tile(task: Tuple[str, str, Any, int,

@@ -16,8 +16,8 @@ Usage::
 Presets
 -------
 Every run is described by one :class:`repro.config.RunConfig`;
-``--preset`` picks the base and the individual flags below override it
-field-by-field:
+``--preset`` picks the base and one ``--<field>`` flag per config field
+(derived from the dataclass, see ``--help``) overrides it field-by-field:
 
 * ``--preset fast`` (the default): packed word backend, batched
   ``column`` S-to-B readout, ``sparse`` Binomial fault masks, ``shm``
@@ -27,21 +27,6 @@ field-by-field:
   S-to-B cell sampling and ``dense`` Bernoulli fault masks.
   Reproduces the historical pinned quality numbers bit-exactly for a
   given seed.
-
-Flags
------
-``--backend {unpacked,packed}`` picks the bit-stream execution backend
-(default: the ``REPRO_BACKEND`` environment variable, falling back to
-``packed``; both backends produce bit-identical streams).  ``--jobs N``
-fans work across N worker processes wherever the target shards: the
-Monte-Carlo tables (``table1``/``table2``, chunk-sharded through the
-factory harness — the printed values are independent of N) and the
-application table (``table4``, which additionally needs ``--tile T`` to
-decompose each scene into ``T x T`` tiles with deterministic per-tile
-seeds — see :mod:`repro.apps.executor`).  ``--cell-model`` and
-``--fault-sampling`` override the preset's S-to-B device model and
-fault-mask model for the SC application runs (see
-:mod:`repro.imsc.stob` / :mod:`repro.imsc.engine`).
 
 ``serve`` starts the request-serving loop instead of printing a table: a
 resident pool of ``--jobs`` worker processes behind a line-delimited JSON
@@ -57,13 +42,14 @@ experiment runners the benchmark suite drives.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
 from .analysis import experiments as ex
 from .analysis.tables import render_table
-from .config import RunConfig
-from .core.backend import available_backends, set_backend
+from .config import RunConfig, field_choices
+from .core.backend import set_backend
 
 __all__ = ["main"]
 
@@ -167,75 +153,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="application runs to average for table IV")
     parser.add_argument("--size", type=int, default=32,
                         help="scene edge length for table IV")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="root seed (default: the preset's, 0)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes: shards the Monte-Carlo "
-                             "chunks of table1/table2, the tiled SC "
-                             "application runs of table4 (requires "
-                             "--tile), and sizes the resident pool of "
-                             "'serve' (its default pool is 2); printed "
-                             "values are independent of N")
-    parser.add_argument("--tile", type=int, default=None,
-                        help="tile edge length for sharded SC application "
-                             "runs (table4); default: whole-image")
-    parser.add_argument("--cell-model", choices=["per-bit", "column"],
-                        default=None, dest="cell_model",
-                        help="S-to-B device model for SC application runs "
-                             "(table4), overriding the preset: 'per-bit' "
-                             "samples every cell (the conformance "
-                             "oracle), 'column' is the batched popcount "
-                             "readout with cached per-column conductance "
-                             "draws")
-    parser.add_argument("--fault-sampling", choices=["dense", "sparse"],
-                        default=None, dest="fault_sampling",
-                        help="fault-mask sampling for faulty SC runs "
-                             "(table4), overriding the preset: 'dense' is "
-                             "the bit-exact per-site Bernoulli oracle, "
-                             "'sparse' draws Binomial flip counts and "
-                             "scatters the sites into the packed payload "
-                             "(statistically conformant, much faster at "
-                             "the paper's gate rates)")
-    parser.add_argument("--fault-domain", choices=["word", "bit"],
-                        default=None, dest="fault_domain",
-                        help="fault-application domain for faulty SC runs "
-                             "(table4), overriding the preset: 'word' "
-                             "applies packed masks in the word domain "
-                             "(default), 'bit' is the per-bit conformance "
-                             "oracle (bit-identical per seed; requires "
-                             "dense sampling, so combine it with "
-                             "--fault-sampling dense)")
-    parser.add_argument("--mp-context", choices=["fork", "forkserver",
-                                                 "spawn"],
-                        default=None, dest="mp_context",
-                        help="multiprocessing start method for worker "
-                             "pools (--jobs > 1 and 'serve'), overriding "
-                             "the preset's pinned platform default; "
-                             "results are start-method-invariant")
-    parser.add_argument("--backend", choices=available_backends(),
-                        default=None,
-                        help="bit-stream execution backend (overrides the "
-                             "preset and the REPRO_BACKEND environment "
-                             "variable)")
-    parser.add_argument("--transport", choices=["shm", "copy"],
-                        default=None,
-                        help="scene transport for 'serve', overriding the "
-                             "preset: 'shm' ships each scene once through "
-                             "the content-addressed shared-memory store "
-                             "(tile tasks carry references; repeated "
-                             "scenes are zero-byte cache hits), 'copy' "
-                             "pickles tile slices per request; output is "
-                             "bit-identical either way")
+    fields = dataclasses.fields(RunConfig)
+    for field in fields:
+        choices = field_choices(field)
+        parser.add_argument("--" + field.name.replace("_", "-"),
+                            dest=field.name, default=None,
+                            type=None if choices is not None else int,
+                            choices=choices, help=field.metadata.get("help"))
     args = parser.parse_args(argv)
 
-    overrides = {key: value for key, value in
-                 (("backend", args.backend), ("jobs", args.jobs),
-                  ("tile", args.tile), ("cell_model", args.cell_model),
-                  ("fault_sampling", args.fault_sampling),
-                  ("fault_domain", args.fault_domain),
-                  ("mp_context", args.mp_context),
-                  ("transport", args.transport), ("seed", args.seed))
-                 if value is not None}
+    overrides = {field.name: getattr(args, field.name) for field in fields
+                 if getattr(args, field.name) is not None}
     try:
         cfg = RunConfig.preset(args.preset, **overrides)
     except ValueError as exc:
@@ -252,8 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.target == "serve":
         from .serve import serve_stdio
-        return serve_stdio(jobs=args.jobs, transport=args.transport,
-                           config=cfg)
+        return serve_stdio(jobs=args.jobs, config=cfg)
     if args.transport is not None:
         parser.error("--transport only applies to 'serve'")
 

@@ -2,26 +2,31 @@
 
 Every fast path in this stack — the packed word backend, the batched
 column S-to-B readout, sparse fault-mask scatter, the shared-memory scene
-transport, the tiled process-pool executor — used to be selected by loose
-kwargs threaded hand-to-hand through ``imsc/engine.py`` →
-``apps/executor.py`` → ``serve/`` → ``cli.py``.  :class:`RunConfig`
-replaces those kwarg fans with one frozen, validated value that crosses
-process and wire boundaries intact: it is picklable (workers), JSON
-round-trippable (``to_dict``/``from_dict``, with the same unknown-key
-strictness as the serving front-end), and hashable (caches).
+transport, the tiled process-pool executor — is selected by one frozen,
+validated :class:`RunConfig` that crosses process and wire boundaries
+intact: it is picklable (workers), JSON round-trippable
+(``to_dict``/``from_dict``, with the same unknown-key strictness as the
+serving front-end), and hashable (caches).
+
+One home per run axis
+---------------------
+Each field is declared once, with its default, its checks (choices, or
+an integer minimum) and its help text in ``dataclasses.field`` metadata.
+Everything else is derived from ``dataclasses.fields(RunConfig)``: the
+``__post_init__`` validation, the CLI's ``--<field>`` flags
+(:mod:`repro.cli`), the JSON round-trip and both presets.  A new field
+therefore needs no edit anywhere else.
 
 Presets
 -------
-* :meth:`RunConfig.fast` — the **package default** since the fast-path
-  release: packed words, column S-to-B, sparse fault sampling, shm scene
-  transport.  ``RunConfig.default()`` is an alias; ``run_app()`` with no
-  arguments, ``python -m repro serve`` and every benchmark guard resolve
-  to it.
-* :meth:`RunConfig.oracle` — the paper-faithful slow reference: per-bit
-  S-to-B cell sampling and dense Bernoulli fault masks.  For a given seed
-  it reproduces the pre-release pinned golden values bit-exactly
-  (``tests/test_backend_equivalence.py`` holds it to that), so the
-  historical numbers stay one preset away.
+* :meth:`RunConfig.fast` — the **package default**: the dataclass
+  defaults (packed words, column S-to-B, sparse fault sampling, shm
+  scene transport).  ``RunConfig.default()`` is an alias.
+* :meth:`RunConfig.oracle` — the paper-faithful slow reference: the
+  defaults plus per-bit S-to-B cell sampling and dense Bernoulli fault
+  masks.  For a given seed it reproduces the pre-release pinned golden
+  values bit-exactly (``tests/test_backend_equivalence.py`` holds it to
+  that).
 
 The two presets differ only in *statistically conformant* axes: the
 conformance suites (``tests/test_imsc.py``, ``tests/test_fault_sampling
@@ -34,15 +39,17 @@ Resolution contract
 Entry points take ``config=None`` plus their historical per-field kwargs.
 ``None`` fields mean "take the config's value"; an explicitly passed
 field *overrides* the config (the CLI's ``--cell-model`` etc. build on
-this).  One deliberate coercion: a caller explicitly selecting the
-per-bit fault **domain** oracle without naming a sampling mode gets
-``'dense'`` (the per-bit oracle is dense by definition), never a
-``sparse``/``'bit'`` conflict error from an implicit default.
+this).  :meth:`RunConfig.merged_engine_kwargs` is the one resolver of
+the engine axes; a bare :class:`~repro.imsc.engine.InMemorySCEngine`
+takes the oracle values as its signature defaults.  One deliberate
+coercion: a caller explicitly selecting the per-bit fault **domain**
+oracle without naming a sampling mode gets ``'dense'`` (the per-bit
+oracle is dense by definition), never a ``sparse``/``'bit'`` conflict
+error from an implicit default.
 
-This module also owns the cached request-validation introspection that
-``apps/executor.py`` and the serving scheduler previously each carried:
-:func:`validate_task_kwargs` / :meth:`RunConfig.validate_for` are the
-single copy.
+This module also owns the cached request-validation introspection the
+executor and the serving scheduler share:
+:func:`validate_task_kwargs` / :meth:`RunConfig.validate_for`.
 """
 
 from __future__ import annotations
@@ -50,164 +57,129 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from functools import lru_cache
-from typing import (Any, Callable, ClassVar, Dict, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
-__all__ = ["RunConfig", "validate_task_kwargs"]
+from .core.backend import available_backends
 
-_CELL_MODELS = ("per-bit", "column")
-_FAULT_SAMPLING = ("dense", "sparse")
-_FAULT_DOMAINS = ("word", "bit")
-_TRANSPORTS = ("shm", "copy")
-_MP_CONTEXTS = ("fork", "forkserver", "spawn")
+__all__ = ["RunConfig", "field_choices", "validate_task_kwargs"]
 
 
-def _check_choice(name: str, value: Any, choices: Tuple[str, ...],
-                  optional: bool = False) -> None:
-    if optional and value is None:
+def _axis(default: Any, help: str, *,
+          choices: Union[Sequence[str], Callable[[], Sequence[str]],
+                         None] = None,
+          minimum: Optional[int] = None) -> Any:
+    """A :class:`RunConfig` field: default, checks and help, declared once.
+
+    A field with ``choices`` (a tuple, or a callable for a registry that
+    can grow) takes one of those strings; a field without is an integer,
+    at least ``minimum`` when given.  A ``None`` default makes ``None``
+    a valid value too.
+    """
+    return dataclasses.field(default=default, metadata={
+        "help": help, "choices": choices, "minimum": minimum})
+
+
+def field_choices(field: dataclasses.Field) -> Optional[List[str]]:
+    """The values a string field accepts, or ``None`` for an integer."""
+    choices = field.metadata.get("choices")
+    if callable(choices):
+        choices = choices()
+    return None if choices is None else list(choices)
+
+
+def _check_field(field: dataclasses.Field, value: Any) -> None:
+    if value is None and field.default is None:
         return
-    if value not in choices:
-        raise ValueError(f"{name} must be one of "
-                         f"{', '.join(map(repr, choices))}"
-                         f"{' or None' if optional else ''}, "
-                         f"got {value!r}")
-
-
-def _check_int(name: str, value: Any, minimum: int,
-               optional: bool = False) -> None:
-    if optional and value is None:
+    either = " or None" if field.default is None else ""
+    choices = field_choices(field)
+    if choices is not None:
+        if value not in choices:
+            raise ValueError(f"{field.name} must be one of "
+                             f"{', '.join(map(repr, choices))}{either}, "
+                             f"got {value!r}")
         return
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer"
-                         f"{' or None' if optional else ''}, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+        raise ValueError(f"{field.name} must be an integer{either}, "
+                         f"got {value!r}")
+    minimum = field.metadata.get("minimum")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{field.name} must be >= {minimum}, "
+                         f"got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Frozen, validated description of how to execute SC work.
 
-    Fields
-    ------
-    backend:
-        Execution backend name (``'unpacked'`` / ``'packed'``), or
-        ``None`` to inherit the process-active backend (which itself
-        defaults to ``packed`` since the fast-path release; the
-        ``REPRO_BACKEND`` environment variable still overrides it).
-        Stream bits are identical across backends, so this axis never
-        changes results — only speed.
-    cell_model:
-        S-to-B device-variability model: ``'column'`` (batched popcount
-        readout — the default) or ``'per-bit'`` (the sampling oracle).
-    fault_sampling:
-        Fault-mask model: ``'sparse'`` (Binomial site scatter — the
-        default) or ``'dense'`` (the bit-exact Bernoulli oracle).
-    fault_domain:
-        ``'word'`` (packed fault application, default) or ``'bit'`` (the
-        per-bit conformance oracle; bit-identical to ``'word'`` per seed
-        and forces dense sampling).
-    transport:
-        Serving scene transport: ``'shm'`` (content-addressed
-        shared-memory store, default) or ``'copy'`` (pickled tile
-        slices).  Bit-identical either way.
-    jobs:
-        Worker processes for sharded paths (``1`` = in-process; output
-        is jobs-invariant).
-    tile:
-        Tile edge length for the tiled executor, or ``None`` for
-        whole-image batch runs (serving always requires a tile).
-    mp_context:
-        Multiprocessing start-method name (``'fork'`` / ``'forkserver'``
-        / ``'spawn'``) or ``None`` for the pinned platform default.
-        Kept as a *name*, not a context object, so configs stay
-        picklable and JSON-serializable.
-    seed:
-        Root seed for the deterministic per-tile / per-chunk
-        ``SeedSequence`` spawn.  Must be a real integer — ``None``
-        (OS entropy) is rejected for the same reason the JSON front-end
-        rejects ``"seed": null``: silent nondeterminism.
+    Each field's meaning is its ``help`` metadata (also the CLI's
+    ``--help``); :mod:`repro.config` explains the presets and the
+    resolution contract.
     """
 
-    backend: Optional[str] = None
-    cell_model: str = "column"
-    fault_sampling: str = "sparse"
-    fault_domain: str = "word"
-    transport: str = "shm"
-    jobs: int = 1
-    tile: Optional[int] = None
-    mp_context: Optional[str] = None
-    seed: int = 0
+    backend: Optional[str] = _axis(
+        None, "bit-stream execution backend; unset inherits the "
+        "process-active one (the REPRO_BACKEND environment variable, else "
+        "packed).  Streams are bit-identical across backends, so this "
+        "only changes speed", choices=available_backends)
+    cell_model: str = _axis(
+        "column", "S-to-B device model for SC application runs: 'per-bit' "
+        "samples every cell (the conformance oracle), 'column' is the "
+        "batched popcount readout with cached per-column conductance "
+        "draws", choices=("per-bit", "column"))
+    fault_sampling: str = _axis(
+        "sparse", "fault-mask sampling for faulty SC runs: 'dense' is the "
+        "bit-exact per-site Bernoulli oracle, 'sparse' draws Binomial flip "
+        "counts and scatters the sites into the packed payload "
+        "(statistically conformant, much faster at the paper's gate "
+        "rates)", choices=("dense", "sparse"))
+    fault_domain: str = _axis(
+        "word", "fault-application domain for faulty SC runs: 'word' "
+        "applies packed masks in the word domain, 'bit' is the per-bit "
+        "conformance oracle (bit-identical per seed; requires dense "
+        "sampling)", choices=("word", "bit"))
+    transport: str = _axis(
+        "shm", "scene transport for serving: 'shm' ships each scene once "
+        "through the content-addressed shared-memory store (tile tasks "
+        "carry references; repeated scenes are zero-byte cache hits), "
+        "'copy' pickles tile slices per request; output is bit-identical "
+        "either way", choices=("shm", "copy"))
+    jobs: int = _axis(
+        1, "worker processes: shards the Monte-Carlo chunks of "
+        "table1/table2 and the tiled SC application runs (which need a "
+        "tile), and sizes the serving pool (never below 2 there); output "
+        "is independent of the worker count", minimum=1)
+    tile: Optional[int] = _axis(
+        None, "tile edge length for sharded SC application runs; unset "
+        "runs whole images (serving requires a tile)", minimum=1)
+    mp_context: Optional[str] = _axis(
+        None, "multiprocessing start method for worker pools; unset pins "
+        "the platform default (forkserver for serving).  Results are "
+        "start-method-invariant",
+        choices=("fork", "forkserver", "spawn"))
+    seed: int = _axis(
+        0, "root seed of the deterministic per-tile / per-chunk "
+        "SeedSequence spawn; must be an integer, because a None/float "
+        "seed would make output silently nondeterministic")
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            from .core.backend import get_backend
-            get_backend(self.backend)   # raises naming the bad backend
-        _check_choice("cell_model", self.cell_model, _CELL_MODELS)
-        _check_choice("fault_sampling", self.fault_sampling, _FAULT_SAMPLING)
-        _check_choice("fault_domain", self.fault_domain, _FAULT_DOMAINS)
+        for field in dataclasses.fields(self):
+            _check_field(field, getattr(self, field.name))
         if self.fault_sampling == "sparse" and self.fault_domain == "bit":
             raise ValueError(
                 "conflicting keys: fault_sampling='sparse' requires "
                 "fault_domain='word' (the per-bit oracle is dense by "
                 "definition)")
-        _check_choice("transport", self.transport, _TRANSPORTS)
-        _check_choice("mp_context", self.mp_context, _MP_CONTEXTS,
-                      optional=True)
-        _check_int("jobs", self.jobs, 1)
-        _check_int("tile", self.tile, 1, optional=True)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(
-                f"seed must be an integer, got {self.seed!r}: a None/float "
-                f"seed would make output silently nondeterministic")
 
     # ------------------------------------------------------------------
     # presets
     # ------------------------------------------------------------------
-    #: Every preset names *every* field explicitly, even where it matches
-    #: the dataclass default.  That redundancy is deliberate: a new field
-    #: cannot silently ride a preset on its default value, and the lint
-    #: config-coherence rule (RL007) checks this table for completeness
-    #: so a missing entry fails the gate, not a user.
-    PRESET_FIELDS: ClassVar[Dict[str, Dict[str, Any]]] = {
-        "fast": {
-            "backend": None,          # inherit process-active (packed)
-            "cell_model": "column",
-            "fault_sampling": "sparse",
-            "fault_domain": "word",
-            "transport": "shm",
-            "jobs": 1,
-            "tile": None,
-            "mp_context": None,
-            "seed": 0,
-        },
-        "oracle": {
-            "backend": None,
-            "cell_model": "per-bit",
-            "fault_sampling": "dense",
-            "fault_domain": "word",
-            "transport": "shm",
-            "jobs": 1,
-            "tile": None,
-            "mp_context": None,
-            "seed": 0,
-        },
-    }
-
-    @classmethod
-    def _from_preset_table(cls, name: str, overrides: Dict[str, Any]
-                           ) -> "RunConfig":
-        fields = dict(cls.PRESET_FIELDS[name])
-        missing = sorted(set(cls.field_names()) - set(fields))
-        if missing:   # belt-and-braces behind the RL007 static check
-            raise RuntimeError(
-                f"preset {name!r} is missing field(s): {', '.join(missing)}")
-        return cls(**fields).replace(**overrides)
+    PRESETS = ("fast", "oracle")
 
     @classmethod
     def fast(cls, **overrides: Any) -> "RunConfig":
-        """The fast-path preset: packed + column + sparse (+ shm)."""
-        return cls._from_preset_table("fast", overrides)
+        """The fast-path preset: the dataclass defaults."""
+        return cls().replace(**overrides)
 
     @classmethod
     def oracle(cls, **overrides: Any) -> "RunConfig":
@@ -216,14 +188,13 @@ class RunConfig:
         Reproduces the pre-release pinned golden quality values
         bit-exactly for a given seed.
         """
-        return cls._from_preset_table("oracle", overrides)
+        return cls().replace(**{"cell_model": "per-bit",
+                                "fault_sampling": "dense", **overrides})
 
     @classmethod
     def default(cls) -> "RunConfig":
-        """The package default — :meth:`fast` since the defaults flip."""
+        """The package default — :meth:`fast`."""
         return cls.fast()
-
-    PRESETS = ("fast", "oracle")
 
     @classmethod
     def preset(cls, name: str, **overrides: Any) -> "RunConfig":
@@ -231,7 +202,7 @@ class RunConfig:
         if name not in cls.PRESETS:
             raise ValueError(f"unknown preset {name!r}; expected one of: "
                              f"{', '.join(cls.PRESETS)}")
-        return (cls.fast if name == "fast" else cls.oracle)(**overrides)
+        return getattr(cls, name)(**overrides)
 
     @classmethod
     def resolve(cls, config: Optional["RunConfig"]) -> "RunConfig":
@@ -266,12 +237,7 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object of RunConfig "
                              f"fields, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(cls.field_names()))
-        if unknown:
-            raise ValueError(
-                f"unknown config key(s): {', '.join(map(repr, unknown))}; "
-                f"valid keys: {', '.join(cls.field_names())}")
-        return cls(**data)
+        return cls().replace(**data)
 
     def replace(self, **overrides: Any) -> "RunConfig":
         """A copy with fields replaced; unknown names rejected by name."""
@@ -331,7 +297,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Cached task-kwarg validation (the single copy; executor re-exports it)
+# Cached task-kwarg validation (the single copy)
 # ---------------------------------------------------------------------------
 @lru_cache(maxsize=1)
 def _engine_param_names() -> frozenset:
@@ -426,13 +392,10 @@ def validate_task_kwargs(kernel: Union[str, Callable],
             raise ValueError("engine_kwargs must not contain 'rng': each "
                              "tile engine derives its generator from the "
                              "per-tile SeedSequence child")
-        if key == "config":
-            raise ValueError("engine_kwargs must not contain 'config': "
-                             "pass the RunConfig itself via config=")
         if key not in engine_params:
             raise ValueError(
                 f"unknown engine kwarg {key!r}; valid keys: "
-                f"{', '.join(sorted(engine_params - {'rng', 'config'}))}")
+                f"{', '.join(sorted(engine_params - {'rng'}))}")
     _probe_engine_kwargs(engine_kwargs)
     reserved = set(input_names)
     for key in kernel_kwargs:

@@ -147,24 +147,12 @@ class InMemorySCEngine:
         S-to-B device-variability model: 'per-bit' (the oracle —
         bit-reproducible against earlier releases) or 'column' (batched
         popcount-based readout, statistically equivalent and much faster).
-    config:
-        A :class:`repro.config.RunConfig` supplying defaults for
-        ``fault_domain`` / ``fault_sampling`` / ``cell_model``.  Explicit
-        kwargs override the config; with neither, the bare engine stays
-        the paper-faithful oracle ('word' / 'dense' / 'per-bit') so
-        direct engine construction keeps reproducing the pinned goldens
-        regardless of the package-level fast defaults.  Selecting
-        ``fault_domain='bit'`` without naming a sampling mode coerces a
-        config-level 'sparse' down to 'dense' (the per-bit oracle is
-        dense by definition).
-    """
 
-    #: Bare-construction resolution when neither a kwarg nor a config
-    #: names the axis.  Deliberately the *oracle* values — the package
-    #: fast defaults live in ``RunConfig``, not here — so historical
-    #: bit-exact pins on directly-built engines survive releases.
-    ORACLE_DEFAULTS = {"fault_domain": "word", "fault_sampling": "dense",
-                      "cell_model": "per-bit"}
+    The model-axis defaults ('word' / 'dense' / 'per-bit') are the
+    paper-faithful oracle, so a bare engine keeps reproducing the pinned
+    goldens; the package's fast defaults are resolved by
+    :meth:`repro.config.RunConfig.merged_engine_kwargs`.
+    """
 
     def __init__(self, segment_bits: int = 8, mode: str = "opt",
                  fault_rates: Optional[GateFaultRates] = None,
@@ -173,31 +161,9 @@ class InMemorySCEngine:
                  costs: ReRamStepCosts = DEFAULT_RERAM_COSTS,
                  ideal_stob: bool = False,
                  rng: Union[np.random.Generator, int, None] = None,
-                 fault_domain: Optional[str] = None,
-                 fault_sampling: Optional[str] = None,
-                 cell_model: Optional[str] = None,
-                 config=None):
-        # Resolve the model axes: explicit kwarg > config field > oracle
-        # default.  The config is duck-typed (any object with the three
-        # attributes) so this module never imports repro.config.
-        if config is not None:
-            base = {"fault_domain": config.fault_domain,
-                    "fault_sampling": config.fault_sampling,
-                    "cell_model": config.cell_model}
-        else:
-            base = dict(self.ORACLE_DEFAULTS)
-        explicit = {k: v for k, v in (("fault_domain", fault_domain),
-                                      ("fault_sampling", fault_sampling),
-                                      ("cell_model", cell_model))
-                    if v is not None}
-        base.update(explicit)
-        if (base["fault_domain"] == "bit"
-                and "fault_sampling" not in explicit
-                and base["fault_sampling"] == "sparse"):
-            base["fault_sampling"] = "dense"
-        fault_domain = base["fault_domain"]
-        fault_sampling = base["fault_sampling"]
-        cell_model = base["cell_model"]
+                 fault_domain: str = "word",
+                 fault_sampling: str = "dense",
+                 cell_model: str = "per-bit"):
         if mode not in ("naive", "opt"):
             raise ValueError("mode must be 'naive' or 'opt'")
         if fault_domain not in ("word", "bit"):
@@ -698,21 +664,18 @@ class EngineFactory:
                              fault_sampling="sparse"),
                length=256, jobs=8)
 
-    A :class:`repro.config.RunConfig` can supply the model axes instead:
-    ``EngineFactory(config=RunConfig.fast(), fault_rates=...)``; explicit
-    kwargs still override the config, exactly as on the engine itself.
+    A :class:`repro.config.RunConfig` supplies the model axes as
+    ``EngineFactory(fault_rates=..., **cfg.merged_engine_kwargs())``.
     """
 
-    def __init__(self, config=None, **engine_kwargs):
+    def __init__(self, **engine_kwargs):
         if "rng" in engine_kwargs:
             raise ValueError("EngineFactory derives each chunk engine's rng "
                              "from the harness's SeedSequence; do not pass "
                              "'rng'")
-        # validate eagerly, in the parent
-        InMemorySCEngine(config=config, **engine_kwargs)
-        self.config = config
+        InMemorySCEngine(**engine_kwargs)   # validate eagerly, in the parent
         self.engine_kwargs = engine_kwargs
 
     def __call__(self, seed_seq: np.random.SeedSequence) -> InMemorySCEngine:
         return InMemorySCEngine(rng=np.random.default_rng(seed_seq),
-                                config=self.config, **self.engine_kwargs)
+                                **self.engine_kwargs)

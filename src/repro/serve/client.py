@@ -30,7 +30,7 @@ import numpy as np
 from ..config import RunConfig
 from ..core.backend import get_backend
 from ..energy.model import EnergyLedger
-from .pool import WorkerPool, serving_mp_context
+from .pool import WorkerPool, serving_pool
 from .scheduler import Scheduler
 
 __all__ = ["ServingClient"]
@@ -85,16 +85,9 @@ class ServingClient:
                  config: Optional[RunConfig] = None):
         cfg = RunConfig.resolve(config)
         self.config = cfg
-        if jobs is None:
-            jobs = max(2, cfg.jobs)
-        if backend is None:
-            backend = cfg.backend
         self._owns_pool = pool is None
-        if pool is None and mp_context is None:
-            mp_context = (cfg.mp_context if cfg.mp_context is not None
-                          else serving_mp_context())
-        self.pool = pool if pool is not None else WorkerPool(
-            jobs, mp_context=mp_context, backend=backend)
+        self.pool = pool if pool is not None else serving_pool(
+            cfg, jobs, mp_context=mp_context, backend=backend)
         try:
             # validate before warming: a bad max_inflight must not leave
             # an orphaned, already-spawned worker fleet behind

@@ -37,6 +37,7 @@ Contracts
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import sys
@@ -45,10 +46,11 @@ from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence, Union
 
+from ..config import RunConfig
 from ..core.backend import get_backend, set_backend
 
 __all__ = ["WorkerPool", "BrokenProcessPool", "default_mp_context",
-           "serving_mp_context", "resolve_mp_context"]
+           "serving_mp_context", "resolve_mp_context", "serving_pool"]
 
 MpContextLike = Union[str, multiprocessing.context.BaseContext, None]
 
@@ -91,6 +93,26 @@ def resolve_mp_context(mp_context: MpContextLike
     if isinstance(mp_context, str):
         return multiprocessing.get_context(mp_context)
     return mp_context
+
+
+def serving_pool(config: RunConfig, jobs: Optional[int] = None, *,
+                 mp_context: MpContextLike = None,
+                 backend: Optional[str] = None) -> "WorkerPool":
+    """The resident pool a serving front-end owns.
+
+    Explicit arguments win over ``config``.  ``jobs`` defaults to the
+    config's, but never below 2: a 1-worker server cannot overlap
+    requests.  The start method defaults to the config's, else
+    :func:`serving_mp_context`.
+    """
+    if jobs is None:
+        jobs = max(2, config.jobs)
+    if mp_context is None:
+        mp_context = (config.mp_context if config.mp_context is not None
+                      else serving_mp_context())
+    return WorkerPool(jobs, mp_context=mp_context,
+                      backend=backend if backend is not None
+                      else config.backend)
 
 
 def _pin_backend(name: str) -> None:
@@ -227,19 +249,24 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def submit(self, fn: Callable[[Any], Any], task: Any) -> Future:
         """Submit one picklable task; returns its future immediately."""
-        if self._executor is None:
+        executor = self._executor
+        if executor is None:
             raise RuntimeError("WorkerPool is closed")
         try:
-            fut = self._executor.submit(fn, task)
+            fut = executor.submit(fn, task)
         except BrokenProcessPool:
             self._broken = True
             raise
-        fut.add_done_callback(self._note_broken)
+        fut.add_done_callback(functools.partial(self._note_broken, executor))
         return fut
 
-    def _note_broken(self, fut: Future) -> None:
-        if not fut.cancelled() and isinstance(fut.exception(),
-                                              BrokenProcessPool):
+    def _note_broken(self, executor: ProcessPoolExecutor,
+                     fut: Future) -> None:
+        # The dead executor fails its futures from its own thread, maybe
+        # after restart() already replaced it: a stale failure must not
+        # mark the fresh workers broken (that would restart them again).
+        if (executor is self._executor and not fut.cancelled()
+                and isinstance(fut.exception(), BrokenProcessPool)):
             self._broken = True
 
     def map(self, fn: Callable[[Any], Any],

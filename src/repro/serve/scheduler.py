@@ -143,13 +143,9 @@ class Scheduler:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         cfg = RunConfig.resolve(config)
-        if transport is None:
-            transport = cfg.transport
-        if transport not in ("shm", "copy"):
-            raise ValueError(f"unknown transport {transport!r}; "
-                             f"expected 'shm' or 'copy'")
-        if transport != cfg.transport:
-            cfg = cfg.replace(transport=transport)
+        if transport is not None:
+            cfg = cfg.replace(transport=transport)   # validates the name
+        transport = cfg.transport
         if scene_store is not None and transport != "shm":
             raise ValueError("scene_store= requires transport='shm'")
         self.config = cfg

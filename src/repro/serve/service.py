@@ -30,8 +30,9 @@ Run request (``"type": "run"``, the default when ``type`` is omitted)::
   :class:`~repro.reram.faults.GateFaultRates` fields (``and2``/``or2``/
   ``xor2``/``maj3``/``read``) — decoded into the dataclass here, so
   faulty engines are reachable over the wire.
-* ``seed`` must be a JSON integer.  ``null`` is rejected: it would reach
-  the engine as "draw OS entropy", silently making served output
+* ``seed``, ``length`` and ``tile`` must be JSON integers (``length``
+  and ``tile`` at least 1); nothing is coerced.  A ``null`` seed would
+  reach the engine as "draw OS entropy", silently making served output
   nondeterministic — the one thing the serving layer promises not to be.
 * Unknown keys are rejected with an ``ok: false`` response naming them;
   a silently ignored key (the pre-fix behaviour for ``backend``) means a
@@ -87,7 +88,7 @@ import numpy as np
 
 from ..config import RunConfig
 from ..reram.faults import GateFaultRates
-from .pool import WorkerPool, serving_mp_context
+from .pool import WorkerPool, serving_pool
 from .scheduler import Scheduler
 
 __all__ = ["serve_stdio", "decode_request", "encode_response",
@@ -100,6 +101,24 @@ REQUEST_KEYS = frozenset({
 })
 
 
+def _json_int(raw: Dict[str, Any], key: str,
+              minimum: Optional[int] = None) -> Optional[int]:
+    """``raw[key]`` as a strict JSON integer (``None`` when absent).
+
+    No coercion: ``3.7``, ``true`` and ``"64"`` are rejected by name
+    rather than silently becoming ``3``, ``1`` and ``64`` — and a
+    ``null``/float seed would make served output nondeterministic.
+    """
+    if key not in raw:
+        return None
+    value = raw[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{key} must be >= {minimum}, got {value!r}")
+    return value
+
+
 def decode_request(raw: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a parsed run-request object into ``submit_app`` kwargs.
 
@@ -107,10 +126,11 @@ def decode_request(raw: Dict[str, Any]) -> Dict[str, Any]:
     invalid request still gets an error response carrying its own id (the
     pipelining correlation contract); only unparseable JSON loses it.
 
-    Strictness is deliberate: an unknown key, a non-integer ``seed`` or a
-    non-string ``backend`` raises (→ ``ok: false`` naming the problem)
-    instead of being dropped — a mangled-but-accepted request breaks
-    reproducibility claims silently, which is worse than failing.
+    Strictness is deliberate: an unknown key, a non-integer or
+    out-of-range ``seed``/``length``/``tile`` or a non-string ``backend``
+    raises (→ ``ok: false`` naming the problem) instead of being coerced
+    or dropped — a mangled-but-accepted request breaks reproducibility
+    claims silently, which is worse than failing.
     """
     unknown = sorted(set(raw) - REQUEST_KEYS)
     if unknown:
@@ -134,14 +154,9 @@ def decode_request(raw: Dict[str, Any]) -> Dict[str, Any]:
             raise ValueError(f"request is missing {key!r}")
     if "tile" not in raw and (config is None or config.tile is None):
         raise ValueError("request is missing 'tile'")
-    if "seed" in raw:
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(
-                f"seed must be a JSON integer, got {seed!r}: a null/float "
-                f"seed would make served output silently nondeterministic")
-    else:
-        seed = None   # the request config's seed, else the server's
+    length = _json_int(raw, "length", minimum=1)
+    tile = _json_int(raw, "tile", minimum=1)
+    seed = _json_int(raw, "seed")   # None: the config's, else the server's
     backend = raw.get("backend")
     if backend is not None and not isinstance(backend, str):
         raise ValueError(f"backend must be a string, got {backend!r}")
@@ -160,8 +175,8 @@ def decode_request(raw: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "kernel": raw["kernel"],
         "inputs": inputs,
-        "length": int(raw["length"]),
-        "tile": int(raw["tile"]) if "tile" in raw else None,
+        "length": length,
+        "tile": tile,
         "seed": seed,
         "engine_kwargs": engine_kwargs,
         "kernel_kwargs": raw.get("kernel_kwargs") or {},
@@ -247,17 +262,8 @@ def serve_stdio(in_stream: Optional[TextIO] = None,
     if max_pending < 1:
         raise ValueError("max_pending must be >= 1")
     cfg = RunConfig.resolve(config)
-    if jobs is None:
-        jobs = max(2, cfg.jobs)
-    if backend is None:
-        backend = cfg.backend
-    if transport is None:
-        transport = cfg.transport
     in_stream = in_stream if in_stream is not None else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
-    if mp_context is None:
-        mp_context = (cfg.mp_context if cfg.mp_context is not None
-                      else serving_mp_context())
 
     async def _serve(pool: WorkerPool) -> None:
         loop = asyncio.get_running_loop()
@@ -347,7 +353,8 @@ def serve_stdio(in_stream: Optional[TextIO] = None,
     # exists — boot, not the first request, pays worker cold-start, and
     # the forkserver is established while the process is still
     # single-threaded.
-    with WorkerPool(jobs, mp_context=mp_context, backend=backend) as pool:
+    with serving_pool(cfg, jobs, mp_context=mp_context,
+                      backend=backend) as pool:
         pool.warmup()
         asyncio.run(_serve(pool))
     return 0

@@ -6,11 +6,13 @@ Covers the tentpole contracts of :mod:`repro.config`:
   conflicting keys rejected *by name*;
 * ``from_dict(to_dict())`` identity and JSON round-tripping with the
   same strictness as the serving front-end;
-* presets — ``default() == fast()`` since the fast-path release, and
-  ``oracle()`` pins the paper-faithful axes;
+* presets — ``fast()`` is the dataclass defaults (``default()`` too),
+  and ``oracle()`` the defaults plus the paper-faithful axes;
 * engine-kwarg resolution: explicit overrides beat the config, and the
   per-bit fault-domain oracle coerces sampling to dense instead of
   erroring on an implicit sparse default;
+* the CLI: every field is a ``--<field>`` flag, derived from the
+  dataclass (a subclass's extra field included);
 * the config actually *reaches* every layer: engine construction,
   ``run_app``, the JSON front-end's ``config`` request key (worker-
   observed engine settings), and the ``stats()`` echo.
@@ -23,11 +25,13 @@ import json
 import numpy as np
 import pytest
 
-from repro import RunConfig
+from repro import RunConfig, cli
 from repro.apps import run_app
 from repro.apps.executor import run_tiled
 from repro.apps.filters import gamma_correct_inputs
 from repro.apps.images import natural_scene
+from repro.config import field_choices
+from repro.core.backend import get_backend, set_backend
 from repro.imsc.engine import EngineFactory, InMemorySCEngine
 from repro.serve.service import decode_request, serve_stdio
 
@@ -89,6 +93,11 @@ class TestValidation:
 # presets
 # ----------------------------------------------------------------------
 class TestPresets:
+    def test_presets_derive_from_the_dataclass_defaults(self):
+        assert RunConfig.fast() == RunConfig()
+        assert RunConfig.oracle() == RunConfig(cell_model="per-bit",
+                                               fault_sampling="dense")
+
     def test_oracle_pins_paper_faithful_axes(self):
         cfg = RunConfig.oracle()
         assert cfg.cell_model == "per-bit"
@@ -205,6 +214,9 @@ class TestEngineKwargResolution:
 # the config reaches the engine
 # ----------------------------------------------------------------------
 class TestEngineThreading:
+    """``merged_engine_kwargs`` is the one resolver; the engine only takes
+    resolved kwargs, with the oracle values as its defaults."""
+
     def test_bare_engine_keeps_oracle_defaults(self):
         # Direct engine construction stays paper-faithful: the pinned
         # per-bit/dense goldens in test_backend_equivalence depend on it.
@@ -214,31 +226,39 @@ class TestEngineThreading:
         assert eng.fault_domain == "word"
 
     def test_config_sets_engine_axes(self):
-        eng = InMemorySCEngine(rng=0, config=RunConfig.fast())
+        eng = InMemorySCEngine(rng=0,
+                               **RunConfig.fast().merged_engine_kwargs())
         assert eng.cell_model == "column"
         assert eng.fault_sampling == "sparse"
 
     def test_explicit_kwarg_beats_config(self):
-        eng = InMemorySCEngine(rng=0, config=RunConfig.fast(),
-                               cell_model="per-bit")
+        eng = InMemorySCEngine(rng=0, **RunConfig.fast().merged_engine_kwargs(
+            {"cell_model": "per-bit"}))
         assert eng.cell_model == "per-bit"
         assert eng.fault_sampling == "sparse"   # still the config's
 
     def test_bit_domain_with_config_coerces_dense(self):
-        eng = InMemorySCEngine(rng=0, config=RunConfig.fast(),
-                               fault_domain="bit")
+        eng = InMemorySCEngine(rng=0, **RunConfig.fast().merged_engine_kwargs(
+            {"fault_domain": "bit"}))
         assert eng.fault_domain == "bit"
         assert eng.fault_sampling == "dense"
 
     def test_engine_factory_forwards_config(self):
-        factory = EngineFactory(config=RunConfig.fast())
+        factory = EngineFactory(**RunConfig.fast().merged_engine_kwargs())
         eng = factory(np.random.SeedSequence(0))
         assert eng.cell_model == "column"
         assert eng.fault_sampling == "sparse"
 
     def test_engine_factory_validates_eagerly(self):
         with pytest.raises(ValueError, match="cell_model"):
-            EngineFactory(config=RunConfig.fast(), cell_model="bogus")
+            EngineFactory(**RunConfig.fast().merged_engine_kwargs(
+                {"cell_model": "bogus"}))
+
+    def test_engine_and_factory_take_no_config(self):
+        with pytest.raises(TypeError, match="config"):
+            InMemorySCEngine(config=RunConfig.fast())
+        with pytest.raises(TypeError, match="config"):
+            EngineFactory(config=RunConfig.fast())
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +295,76 @@ class TestAppThreading:
         with pytest.raises(ValueError, match="tile"):
             run_tiled("gamma_correct", gamma_correct_inputs(_image()), 16,
                       kernel_kwargs={"gamma": 0.5})
+
+
+# ----------------------------------------------------------------------
+# the CLI flags derive from the fields
+# ----------------------------------------------------------------------
+@pytest.fixture
+def served_config(monkeypatch):
+    """Run ``python -m repro serve <flags>`` and return the config it
+    would serve with (``serve_stdio`` is stubbed; the active backend
+    that ``--backend`` sets is restored afterwards)."""
+    seen = {}
+
+    def fake_serve_stdio(**kwargs):
+        seen.update(kwargs)
+        return 0
+
+    monkeypatch.setattr("repro.serve.serve_stdio", fake_serve_stdio)
+    previous = get_backend().name
+
+    def run(*flags):
+        assert cli.main(["serve", *flags]) == 0
+        return seen["config"]
+
+    yield run
+    set_backend(previous)
+
+
+def _cli_value(field, base):
+    """A value for ``field`` that differs from ``base``'s."""
+    choices = field_choices(field)
+    if choices is not None:
+        return next(c for c in choices if c != getattr(base, field.name))
+    return (getattr(base, field.name) or 0) + 3
+
+
+@dataclasses.dataclass(frozen=True)
+class _ExtendedConfig(RunConfig):
+    retries: int = dataclasses.field(
+        default=0, metadata={"help": "retry budget", "minimum": 0})
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
+                             ids=lambda field: field.name)
+    def test_every_field_has_a_flag_that_sets_it(self, field,
+                                                 served_config):
+        base = RunConfig.oracle()
+        value = _cli_value(field, base)
+        flag = "--" + field.name.replace("_", "-")
+        cfg = served_config("--preset", "oracle", flag, str(value))
+        assert cfg == base.replace(**{field.name: value})
+
+    def test_bad_flag_values_are_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["serve", "--jobs", "0"])
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main(["serve", "--fault-domain", "bit"])   # fast is sparse
+        assert "conflicting keys" in capsys.readouterr().err
+
+    def test_subclass_field_gets_a_flag_and_preset_value(self, monkeypatch,
+                                                         served_config):
+        monkeypatch.setattr(cli, "RunConfig", _ExtendedConfig)
+        cfg = served_config("--preset", "oracle", "--retries", "2")
+        assert cfg == _ExtendedConfig.oracle(retries=2)
+        assert cfg.cell_model == "per-bit"
+        assert _ExtendedConfig.oracle().retries == 0
+        assert served_config().retries == 0
+        with pytest.raises(ValueError, match="retries"):
+            _ExtendedConfig(retries=-1)
 
 
 # ----------------------------------------------------------------------

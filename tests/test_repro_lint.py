@@ -1,6 +1,6 @@
 """Tests for the repro-lint static-analysis framework (tools/repro_lint).
 
-Every project rule (RL001-RL008) gets fixture tests proving a true
+Every project rule (RL001-RL006, RL008) gets fixture tests proving a true
 positive and a silenced case (inline suppression or baseline entry).
 The framework tests cover the suppression grammar, the baseline
 lifecycle, path handling (a typo'd path or an empty directory must fail
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import subprocess
 import sys
 import textwrap
 import tomllib
@@ -470,95 +469,6 @@ class TestRL006SeedFlow:
             """)])
         assert res.clean
         assert len(res.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# RL007 — RunConfig coherence (project rule)
-# ---------------------------------------------------------------------------
-class TestRL007ConfigCoherence:
-    FIXTURE = ("src/fixture/config.py", """\
-        from dataclasses import asdict, dataclass, fields
-        from typing import Any, ClassVar, Dict
-
-
-        @dataclass(frozen=True)
-        class RunConfig:
-            \"\"\"Fixture config.
-
-            alpha:
-                the fully covered field.
-            \"\"\"
-
-            alpha: int = 0
-            beta: int = 0
-
-            PRESET_FIELDS: ClassVar[Dict[str, Dict[str, Any]]] = {
-                "fast": {"alpha": 0},
-            }
-
-            def __post_init__(self):
-                if self.alpha < 0:
-                    raise ValueError("alpha")
-
-            def to_dict(self):
-                return asdict(self)
-
-            @classmethod
-            def from_dict(cls, data):
-                names = {f.name for f in fields(cls)}
-                return cls(**{k: v for k, v in data.items()
-                              if k in names})
-        """)
-
-    def test_neglected_field_flagged_on_every_missing_surface(self):
-        res = _run([self.FIXTURE], select=["RL007"])
-        messages = [f.message for f in res.findings]
-        assert len(messages) == 3
-        assert all("'beta'" in m for m in messages)
-        assert any("__post_init__" in m for m in messages)
-        assert any("docstring" in m for m in messages)
-        assert any("preset 'fast'" in m for m in messages)
-
-    def test_preset_key_that_is_not_a_field_is_flagged(self):
-        path, source = self.FIXTURE
-        source = source.replace('"fast": {"alpha": 0},',
-                                '"fast": {"alpha": 0, "gamma": 1},')
-        res = _run([(path, source)], select=["RL007"])
-        assert any("'gamma'" in f.message and "not a RunConfig field"
-                   in f.message for f in res.findings)
-
-    def _real_pair(self):
-        config = (REPO / "src" / "repro" / "config.py").read_text(
-            encoding="utf-8")
-        cli = (REPO / "src" / "repro" / "cli.py").read_text(
-            encoding="utf-8")
-        return config, cli
-
-    def test_real_config_and_cli_are_coherent(self):
-        config, cli = self._real_pair()
-        res = run_sources([("src/repro/config.py", config),
-                           ("src/repro/cli.py", cli)], select=["RL007"])
-        assert res.clean
-
-    def test_deleting_a_cli_flag_fails_rl007(self):
-        config, cli = self._real_pair()
-        assert '"--seed"' in cli
-        mutated = cli.replace('"--seed"', '"--xseed"')
-        res = run_sources([("src/repro/config.py", config),
-                           ("src/repro/cli.py", mutated)],
-                          select=["RL007"])
-        assert any(f.code == "RL007" and "no --seed flag" in f.message
-                   for f in res.findings)
-
-    def test_deleting_a_preset_entry_fails_rl007(self):
-        config, cli = self._real_pair()
-        assert config.count('"seed": 0,') == 2
-        mutated = config.replace('"seed": 0,', "", 1)
-        res = run_sources([("src/repro/config.py", mutated),
-                           ("src/repro/cli.py", cli)], select=["RL007"])
-        assert any(f.code == "RL007"
-                   and "'seed' missing from preset" in f.message
-                   for f in res.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -1176,13 +1086,6 @@ class TestGate:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RL001", "RL002", "RL003", "RL004", "RL005",
-                     "RL006", "RL007", "RL008"):
+                     "RL006", "RL008"):
             assert code in out
-
-    def test_legacy_lint_py_shim_still_works(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "lint.py"),
-             "--list-rules"],
-            capture_output=True, text=True, check=False)
-        assert proc.returncode == 0
-        assert "RL005" in proc.stdout
+        assert "RL007" not in out

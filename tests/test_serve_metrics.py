@@ -350,6 +350,18 @@ class TestRequestDecoding:
         with pytest.raises(ValueError, match="seed"):
             decode_request(_raw_request(seed=seed))
 
+    @pytest.mark.parametrize("key,value", [
+        ("length", 3.7), ("length", True), ("length", "64"),
+        ("length", None), ("length", 0), ("length", -5),
+        ("tile", 2.9), ("tile", True), ("tile", "2"), ("tile", 0),
+    ])
+    def test_length_and_tile_are_strict_positive_integers(self, key,
+                                                          value):
+        # no coercion (3.7 -> 3, true -> 1, "64" -> 64) and no length 0
+        # reaching the engine: rejected at the front door, by name
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            decode_request(_raw_request(**{key: value}))
+
     def test_non_string_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             decode_request(_raw_request(backend=3))

@@ -19,6 +19,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -126,6 +127,23 @@ class TestWorkerPool:
             pool.restart()
             assert not pool.broken
             assert len(set(pool.map(_pid_task, range(4)))) >= 1
+
+    @needs_fork
+    def test_stale_failure_after_restart_keeps_fresh_pool_healthy(self):
+        # A dead executor fails its in-flight futures from its own
+        # thread, possibly after restart() replaced it; that late failure
+        # must not flag the fresh workers broken (a second restart).
+        with WorkerPool(1, mp_context="fork") as pool:
+            (old_pid,) = pool.warmup()
+            stale = pool.submit(time.sleep, 30)
+            time.sleep(0.3)   # let the worker pick the task up
+            pool.restart()
+            os.kill(old_pid, signal.SIGKILL)
+            with pytest.raises(BrokenProcessPool):
+                stale.result(timeout=60)
+            assert not pool.broken
+            assert pool.map(abs, [-3]) == [3]
+            assert pool.restarts == 1
 
     def test_pool_map_over_resident_pool_matches_one_shot(self):
         img = _image()

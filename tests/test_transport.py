@@ -29,6 +29,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro import config
 from repro.apps import executor
 from repro.apps.executor import KERNELS, run_tiled
 from repro.apps.filters import gamma_correct_inputs
@@ -385,7 +386,7 @@ class TestShmHygiene:
 # ----------------------------------------------------------------------
 class TestValidationCache:
     def test_probe_engine_constructed_once_per_kwargs(self, monkeypatch):
-        executor._engine_param_names()   # warm with the real signature
+        config._engine_param_names()   # warm with the real signature
         calls = {"n": 0}
         real = executor.InMemorySCEngine
 
@@ -396,19 +397,19 @@ class TestValidationCache:
 
         # the probe resolves the engine from its home module at call time
         monkeypatch.setattr("repro.imsc.engine.InMemorySCEngine", Counting)
-        executor._ENGINE_PROBE_CACHE.clear()
+        config._ENGINE_PROBE_CACHE.clear()
         kwargs = {"cell_model": "column", "fault_sampling": "sparse"}
         for _ in range(3):
-            executor._validate_task_kwargs("gamma_correct", ["image"],
-                                           dict(kwargs), {"gamma": 0.5})
+            config.validate_task_kwargs("gamma_correct", ["image"],
+                                        dict(kwargs), {"gamma": 0.5})
         assert calls["n"] == 1
-        executor._validate_task_kwargs("gamma_correct", ["image"],
-                                       {}, {"gamma": 0.5})
+        config.validate_task_kwargs("gamma_correct", ["image"],
+                                    {}, {"gamma": 0.5})
         assert calls["n"] == 2
-        executor._ENGINE_PROBE_CACHE.clear()
+        config._ENGINE_PROBE_CACHE.clear()
 
     def test_invalid_engine_values_raise_every_time(self, monkeypatch):
-        executor._engine_param_names()
+        config._engine_param_names()
         calls = {"n": 0}
         real = executor.InMemorySCEngine
 
@@ -418,14 +419,14 @@ class TestValidationCache:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr("repro.imsc.engine.InMemorySCEngine", Counting)
-        executor._ENGINE_PROBE_CACHE.clear()
+        config._ENGINE_PROBE_CACHE.clear()
         for _ in range(2):
             with pytest.raises(ValueError, match="cell_model"):
-                executor._validate_task_kwargs(
+                config.validate_task_kwargs(
                     "gamma_correct", ["image"],
                     {"cell_model": "bogus"}, {"gamma": 0.5})
         assert calls["n"] == 2   # failures are never cached
-        executor._ENGINE_PROBE_CACHE.clear()
+        config._ENGINE_PROBE_CACHE.clear()
 
     def test_kernel_signature_cache_follows_rebinding(self, monkeypatch):
         def narrow_kernel(engine, image, length):
@@ -435,11 +436,11 @@ class TestValidationCache:
             return image
 
         monkeypatch.setitem(KERNELS, "gamma_correct", narrow_kernel)
-        executor._validate_task_kwargs("gamma_correct", ["image"], {}, {})
+        config.validate_task_kwargs("gamma_correct", ["image"], {}, {})
         with pytest.raises(ValueError, match="missing required"):
             monkeypatch.setitem(KERNELS, "gamma_correct", wide_kernel)
-            executor._validate_task_kwargs("gamma_correct", ["image"],
-                                           {}, {})
+            config.validate_task_kwargs("gamma_correct", ["image"],
+                                        {}, {})
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,13 @@
 A dependency-free, plugin-based analyzer that proves the codebase's
 runtime invariants at lint time: determinism (RL001), worker-pool pickle
 safety (RL002), the packed hot path never unpacking (RL003), a
-never-blocked serving event loop (RL004) and paired shared-memory
-releases (RL005) — plus the stdlib hygiene subset mirroring the ruff
-config (E9/F401/F811/W191/W291/W292).
+never-blocked serving event loop (RL004), paired shared-memory releases
+(RL005), derived seeds (RL006) and async concurrency (RL008) — plus the
+stdlib hygiene subset mirroring the ruff config
+(E9/F401/F811/W191/W291/W292).
 
-Run ``python -m repro_lint --help`` (with ``tools/`` on ``PYTHONPATH``)
-or ``python tools/lint.py``; ``--explain RL00x`` prints the catalogue
-entry for a rule.  See ``engine.py`` for the suppression and baseline
+Run ``python -m repro_lint --help`` (with ``tools/`` on ``PYTHONPATH``);
+``--explain RL00x`` prints the catalogue entry for a rule.  See ``engine.py`` for the suppression and baseline
 mechanics.
 """
 

@@ -111,11 +111,8 @@ UNSILENCEABLE = frozenset({"RL000", "E999", "E902"})
 
 
 class PathError(Exception):
-    """A path argument that names nothing — a hard error, never silence.
-
-    The historical ``tools/lint.py`` silently skipped nonexistent path
-    arguments, so a typo'd path linted zero files and exited 0.
-    """
+    """A path argument that names nothing — a hard error, never silence:
+    a typo'd path must not lint zero files and exit 0."""
 
 
 class FileContext:
@@ -309,8 +306,7 @@ def iter_py_files(args: Sequence[str],
                   root: pathlib.Path = REPO) -> List[pathlib.Path]:
     """Resolve path arguments to the .py files to lint.
 
-    Unlike the historical ``tools/lint.py``, a path that exists as neither
-    a file nor a directory raises :class:`PathError` — a typo'd argument
+    A path that exists as neither a file nor a directory raises :class:`PathError` — a typo'd argument
     must fail the gate, not lint nothing and exit 0.  A directory that
     exists but contains **zero** ``.py`` files is the same hard error for
     the same reason (``repro_lint some/empty/dir`` linting nothing and

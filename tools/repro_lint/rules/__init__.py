@@ -12,5 +12,4 @@ from . import rl003_no_unpack as rl003_no_unpack
 from . import rl004_async as rl004_async
 from . import rl005_resources as rl005_resources
 from . import rl006_seed_flow as rl006_seed_flow
-from . import rl007_config as rl007_config
 from . import rl008_async as rl008_async

@@ -1,9 +1,9 @@
 """Stdlib hygiene rules: the ruff-mirror subset (E9/F401/F811/W19x/W29x).
 
-Ported from the original single-file ``tools/lint.py`` so the no-ruff
-container enforces the same set pyproject.toml selects for ruff.  Keep
-:data:`repro_lint.engine.RUFF_SELECT` and the pyproject ``select`` list in
-sync — ``tests/test_repro_lint.py`` asserts it.
+Lets a container without ruff enforce the same set pyproject.toml
+selects for ruff.  Keep :data:`repro_lint.engine.RUFF_SELECT` and the
+pyproject ``select`` list in sync — ``tests/test_repro_lint.py`` asserts
+it.
 """
 
 from __future__ import annotations
