@@ -9,7 +9,7 @@ PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 .PHONY: test lint lint-changed test-unpacked test-packed test-faulty \
 	test-serving \
 	bench-smoke serve-smoke bench-backend bench-apps bench-faults \
-	bench-serve bench-serve-load bench-serve-soak bench-transport bench
+	bench-serve bench-serve-load bench-serve-soak bench
 
 test: lint test-unpacked test-packed bench-smoke serve-smoke
 
@@ -51,13 +51,12 @@ test-serving:
 	REPRO_BACKEND=unpacked $(PYTEST) -x -q tests/test_serving.py
 	REPRO_BACKEND=packed $(PYTEST) -x -q tests/test_serving.py
 
-# Quick throughput checks (~seconds): packed-vs-unpacked word chain, a
-# tiny-config end-to-end app run (bench_apps pins each configuration's
-# backend itself, so one invocation covers both), and shm-vs-copy scene
-# transport on a small repeated scene.  Tiny workloads are
-# overhead-dominated — this is a does-it-run smoke, not the >=4x/1.5x
-# guards (those are bench-backend / bench-apps / bench-transport at
-# full scale).
+# Quick throughput checks (~seconds): packed-vs-unpacked word chain,
+# column-vs-per-bit S-to-B, a tiny-config end-to-end app run (bench_apps
+# pins each configuration's backend itself, so one invocation covers
+# both) and sparse-vs-dense fault sampling.  Tiny workloads are
+# overhead-dominated — this is a does-it-run smoke, not the >=4x guards
+# (those are bench-backend / bench-apps at full scale).
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_backend.py \
 		--length 131072 --batch 128 --repeats 2
@@ -67,8 +66,6 @@ bench-smoke:
 		--length 64 --size 24 --tile 12 --jobs 2 --repeats 1 --apps matting
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_faults.py \
 		--length 64 --size 16 --repeats 1 --min-speedup 2
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_transport.py \
-		--size 256 --tile 128 --requests 8 --jobs 2 --min-speedup 0
 
 # Tiny-config serving smoke: resident-pool vs cold per-request pools on a
 # handful of small requests.  Does-it-run + bit-identity only (speedup
@@ -93,12 +90,6 @@ bench-apps:
 # Full acceptance-scale serving benchmark (resident pool amortisation).
 bench-serve:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve.py
-
-# Full acceptance-scale scene-transport benchmark: shm scene store vs
-# per-request copy on repeated big-scene requests (>= 1.5x served
-# throughput, responses bit-identical to run_tiled(jobs=1) both ways).
-bench-transport:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_transport.py
 
 # Open-loop load generator at smoke scale: replays a mixed request trace
 # (big+small scenes, faulty+fault-free engines, both backends) against

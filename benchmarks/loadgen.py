@@ -41,7 +41,6 @@ trajectory re-anchors read.  Typical invocations::
     PYTHONPATH=src python benchmarks/loadgen.py --rate 20 --requests 200
     PYTHONPATH=src python benchmarks/loadgen.py --soak           # acceptance
     PYTHONPATH=src python benchmarks/loadgen.py --front-end stdio
-    PYTHONPATH=src python benchmarks/loadgen.py --transport copy # pre-shm
 """
 
 import argparse
@@ -141,13 +140,13 @@ class ReferenceCache:
 # client front-end
 # ----------------------------------------------------------------------
 def run_client(trace: list, templates: list, jobs: int, rate: float,
-               kill_worker: bool, transport: str = "shm") -> dict:
+               kill_worker: bool) -> dict:
     """Drive ``ServingClient`` open-loop; returns raw per-request records
     plus the server-side metrics snapshot."""
     records = []
     kill_at = len(trace) // 2
     killed = 0
-    with ServingClient(jobs=jobs, transport=transport) as client:
+    with ServingClient(jobs=jobs) as client:
         victims = client.pool.worker_pids()   # fleet is warm (warmup=True)
         t0 = time.perf_counter()
         for i, (tidx, seed) in enumerate(trace):
@@ -238,7 +237,7 @@ class _TimestampedWriter(io.TextIOBase):
 
 
 def run_stdio(trace: list, templates: list, jobs: int,
-              rate: float, transport: str = "shm") -> dict:
+              rate: float) -> dict:
     """Drive ``serve_stdio`` through paced in-memory streams."""
     lines = []
     for i, (tidx, seed) in enumerate(trace):
@@ -258,7 +257,7 @@ def run_stdio(trace: list, templates: list, jobs: int,
     reader = _PacedReader(lines, rate, submit_times)
     writer = _TimestampedWriter()
     t0 = time.perf_counter()
-    serve_stdio(reader, writer, jobs=jobs, transport=transport)
+    serve_stdio(reader, writer, jobs=jobs)
     elapsed = time.perf_counter() - t0
 
     stats = None
@@ -335,9 +334,9 @@ def summarise(raw: dict, trace: list, templates: list,
         "saturation_rps": (ok / elapsed
                            if rate == 0 and elapsed > 0 else None),
         "latency_s": _percentiles(latencies),
-        # shm transport only: cross-request hit rate of the scene store
-        # (the mixed trace cycles a handful of scenes, so steady state
-        # should be nearly all hits)
+        # cross-request hit rate of the scene store (the mixed trace
+        # cycles a handful of scenes, so steady state should be nearly
+        # all hits)
         "scene_hit_rate": (stats.get("scene_store") or {}).get("hit_rate"),
         "server_stats": stats,
     }
@@ -386,12 +385,6 @@ def main() -> int:
                         default="client", dest="front_end",
                         help="drive ServingClient (default) or the "
                              "stdin/JSON serve_stdio loop")
-    parser.add_argument("--transport", choices=["shm", "copy"],
-                        default="shm",
-                        help="scene transport: 'shm' ships each scene "
-                             "once through the shared-memory scene store "
-                             "(repeated scenes are zero-byte hits), "
-                             "'copy' pickles tile slices per request")
     parser.add_argument("--small", type=int, default=8,
                         help="small-scene edge length in pixels")
     parser.add_argument("--big", type=int, default=16,
@@ -428,22 +421,19 @@ def main() -> int:
     trace = build_trace(requests, templates)
     if args.front_end == "client":
         raw = run_client(trace, templates, args.jobs, args.rate,
-                         kill_worker, args.transport)
+                         kill_worker)
     else:
-        raw = run_stdio(trace, templates, args.jobs, args.rate,
-                        args.transport)
+        raw = run_stdio(trace, templates, args.jobs, args.rate)
     results = summarise(raw, trace, templates, args.rate)
     print(render(results))
 
-    config = {"front_end": args.front_end, "transport": args.transport,
-              "requests": requests,
+    config = {"front_end": args.front_end, "requests": requests,
               "rate": args.rate, "jobs": args.jobs, "small": args.small,
               "big": args.big, "length": args.length, "tile": args.tile,
               "soak": args.soak, "kill_worker": kill_worker,
               "templates": [t["name"] for t in templates]}
     write_bench_record(args.json, "serve", config, results,
-                       run_config=RunConfig.fast(transport=args.transport,
-                                                 tile=args.tile,
+                       run_config=RunConfig.fast(tile=args.tile,
                                                  jobs=args.jobs))
     print(f"bench record -> {args.json}")
 

@@ -72,10 +72,6 @@ def _steps(quick: bool):
              [py, str(BENCH / "loadgen.py"), "--requests", "24",
               "--jobs", "2", "--small", "8", "--big", "12",
               "--length", "32"]),
-            ("Scene transport (smoke)",
-             [py, str(BENCH / "bench_transport.py"), "--size", "256",
-              "--tile", "128", "--requests", "8", "--jobs", "2",
-              "--min-speedup", "0"]),
         ]
     return [
         ("Tables and figures (CLI reproduction)",
@@ -93,8 +89,6 @@ def _steps(quick: bool):
          [py, str(BENCH / "bench_serve.py")]),
         ("Serving soak (>= 1000 requests, worker death injected)",
          [py, str(BENCH / "loadgen.py"), "--soak"]),
-        ("Scene transport (shm scene store vs per-request copy)",
-         [py, str(BENCH / "bench_transport.py")]),
     ]
 
 

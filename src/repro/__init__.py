@@ -25,8 +25,8 @@ A full Python reproduction of the paper's system:
 
 How to run is described by one frozen :class:`repro.config.RunConfig`
 threaded through every layer.  The package default is the **fast preset**
-(``RunConfig.fast()``: packed backend, column S-to-B, sparse fault masks,
-shm transport); the paper-faithful oracles stay one preset away as
+(``RunConfig.fast()``: packed backend, column S-to-B, sparse fault
+masks); the paper-faithful oracles stay one preset away as
 ``RunConfig.oracle()``.
 """
 

@@ -157,12 +157,11 @@ def _run_tile(task: Tuple[str, str, Any, int,
               ) -> Tuple[np.ndarray, EnergyLedger]:
     """Execute one tile: fresh engine, deterministic child RNG.
 
-    The third task element is either a dict of copied 1-D tile arrays
-    (copy transport — the default) or a
-    :class:`repro.serve.transport.SceneTileRef` (shared-memory reference
-    transport): the worker then attaches to the published scene segment
-    and copies out just its tile window, bit-identically to the copy
-    mode's parent-side slice.
+    The third task element is either a dict of 1-D tile arrays sliced
+    in the parent (plans built without a scene store) or a
+    :class:`repro.serve.transport.SceneTileRef`: the worker then attaches
+    to the published scene segment and copies out just its tile window,
+    bit-identically to the parent-side slice.
     """
     (backend_name, kernel_name, arrays, length, engine_kwargs,
      kernel_kwargs, child) = task
@@ -186,11 +185,11 @@ class TilePlan(NamedTuple):
     pure function of ``(kernel, inputs, length, tile, seed, kwargs)`` —
     executing its tasks in any order, on any pool, yields the same image.
 
-    ``scene`` is the transport accounting ticket
-    (:class:`repro.serve.transport.SceneTicket`): under shared-memory
-    transport its ``digest`` names the published scene the executing
-    side must ``release`` once the request resolves; in copy mode the
-    digest is ``None`` and ``bytes_shipped`` counts the copied inputs.
+    ``scene`` is the scene-store accounting ticket
+    (:class:`repro.serve.transport.SceneTicket`) of a plan built with a
+    store: its ``digest`` names the published scene the executing side
+    must ``release`` once the request resolves.  Plans built without a
+    store carry ``None``.
     """
 
     kernel: str
@@ -226,10 +225,10 @@ def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
     :meth:`RunConfig.merged_engine_kwargs` for the one bit→dense
     coercion).
 
-    Transport modes
-    ---------------
-    * Default (``scene_store=None``): every task carries copied tile
-      slices — self-contained and pickled to the workers.
+    Task forms
+    ----------
+    * Without ``scene_store`` every task carries its tile's array slices
+      — the in-process and one-shot-pool batch path of ``run_tiled``.
     * ``scene_store=`` (a :class:`repro.serve.transport.SceneStore`):
       the inputs are published once into shared memory (content-addressed
       — a repeated scene is a cache hit shipping zero bytes) and tasks
@@ -241,8 +240,8 @@ def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
       plan for an already-published scene without the arrays at all —
       the ``put_scene`` handle path; ``inputs`` must then be ``None``.
 
-    Both transports produce bit-identical output: the worker-side tile
-    copy matches the parent-side ``.copy().ravel()`` exactly.
+    Both forms produce bit-identical output: the worker-side tile copy
+    matches the parent-side ``.copy().ravel()`` exactly.
     """
     if kernel not in KERNELS:
         raise ValueError(f"unknown tile kernel {kernel!r}")
@@ -296,14 +295,9 @@ def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
                 for i, window in enumerate(grid)
             ]
         else:
-            from ..serve.transport import SceneTicket
-            ticket = SceneTicket(
-                None, False, sum(int(a.nbytes) for a in inputs.values()))
             # .copy(): full-width slices would otherwise ravel to *views*
-            # of the caller's buffer, and a plan can outlive this call
-            # (the async scheduler pickles tiles later) — a caller
-            # mutating its input after submit must not change what the
-            # workers compute.
+            # of the caller's buffer, and an in-process kernel must never
+            # alias (or write through to) the caller's input.
             tasks = [
                 (backend_name, kernel,
                  {name: arr[r0:r1, c0:c1].copy().ravel()
@@ -314,7 +308,7 @@ def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
     except BaseException:
         # A rejected request must not strand the store reference taken by
         # checkout() / publish() above.
-        if ticket is not None and ticket.digest is not None:
+        if ticket is not None:
             scene_store.release(ticket.digest)
         raise
     return TilePlan(kernel, (height, width), grid, tasks, ticket)
@@ -389,10 +383,9 @@ def run_tiled(kernel: str, inputs: Dict[str, np.ndarray], length: int, *,
     scene_store:
         Optional :class:`repro.serve.transport.SceneStore`: publish the
         inputs into shared memory and hand the workers tile *references*
-        instead of copied slices (the serving layer's zero-copy
-        transport).  Copy mode — the default — remains bit-identical;
-        back-to-back calls over one store and one resident ``pool``
-        re-ship nothing for a repeated scene.
+        instead of array slices, as the serving scheduler does.  Output
+        is bit-identical either way; back-to-back calls over one store
+        and one resident ``pool`` re-ship nothing for a repeated scene.
 
     Returns
     -------
@@ -409,6 +402,6 @@ def run_tiled(kernel: str, inputs: Dict[str, np.ndarray], length: int, *,
         results = pool_map(_run_tile, plan.tasks, jobs, pool=pool,
                            mp_context=mp_context, config=cfg)
     finally:
-        if scene_store is not None and plan.scene is not None:
+        if plan.scene is not None:
             scene_store.release(plan.scene.digest)
     return stitch_tiles(plan, results)

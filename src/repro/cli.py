@@ -20,8 +20,8 @@ Every run is described by one :class:`repro.config.RunConfig`;
 (derived from the dataclass, see ``--help``) overrides it field-by-field:
 
 * ``--preset fast`` (the default): packed word backend, batched
-  ``column`` S-to-B readout, ``sparse`` Binomial fault masks, ``shm``
-  scene transport — the release defaults.  Statistically equivalent to
+  ``column`` S-to-B readout, ``sparse`` Binomial fault masks — the
+  release defaults.  Statistically equivalent to
   the oracles and much faster.
 * ``--preset oracle``: the paper-faithful reference — ``per-bit``
   S-to-B cell sampling and ``dense`` Bernoulli fault masks.
@@ -181,8 +181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.target == "serve":
         from .serve import serve_stdio
         return serve_stdio(jobs=args.jobs, config=cfg)
-    if args.transport is not None:
-        parser.error("--transport only applies to 'serve'")
 
     dispatch = {
         "table1": lambda: _print_table1(args, cfg),

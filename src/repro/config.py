@@ -1,8 +1,8 @@
 """The one picklable description of *how to run*: :class:`RunConfig`.
 
 Every fast path in this stack — the packed word backend, the batched
-column S-to-B readout, sparse fault-mask scatter, the shared-memory scene
-transport, the tiled process-pool executor — is selected by one frozen,
+column S-to-B readout, sparse fault-mask scatter, the tiled process-pool
+executor — is selected by one frozen,
 validated :class:`RunConfig` that crosses process and wire boundaries
 intact: it is picklable (workers), JSON round-trippable
 (``to_dict``/``from_dict``, with the same unknown-key strictness as the
@@ -20,8 +20,8 @@ therefore needs no edit anywhere else.
 Presets
 -------
 * :meth:`RunConfig.fast` — the **package default**: the dataclass
-  defaults (packed words, column S-to-B, sparse fault sampling, shm
-  scene transport).  ``RunConfig.default()`` is an alias.
+  defaults (packed words, column S-to-B, sparse fault sampling).
+  ``RunConfig.default()`` is an alias.
 * :meth:`RunConfig.oracle` — the paper-faithful slow reference: the
   defaults plus per-bit S-to-B cell sampling and dense Bernoulli fault
   masks.  For a given seed it reproduces the pre-release pinned golden
@@ -31,7 +31,7 @@ Presets
 The two presets differ only in *statistically conformant* axes: the
 conformance suites (``tests/test_imsc.py``, ``tests/test_fault_sampling
 .py``) bridge them, and every bit-exact axis (backend, fault domain,
-transport, jobs/tile sharding) is identical across presets by
+jobs/tile sharding) is identical across presets by
 construction.
 
 Resolution contract
@@ -138,12 +138,6 @@ class RunConfig:
         "applies packed masks in the word domain, 'bit' is the per-bit "
         "conformance oracle (bit-identical per seed; requires dense "
         "sampling)", choices=("word", "bit"))
-    transport: str = _axis(
-        "shm", "scene transport for serving: 'shm' ships each scene once "
-        "through the content-addressed shared-memory store (tile tasks "
-        "carry references; repeated scenes are zero-byte cache hits), "
-        "'copy' pickles tile slices per request; output is bit-identical "
-        "either way", choices=("shm", "copy"))
     jobs: int = _axis(
         1, "worker processes: shards the Monte-Carlo chunks of "
         "table1/table2 and the tiled SC application runs (which need a "

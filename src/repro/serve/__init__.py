@@ -17,10 +17,9 @@ request, one throwaway pool), this package keeps a resident
 * :class:`ServingClient` — blocking facade (background event loop) for
   scripts and benchmarks.
 * :class:`SceneStore` — content-addressed shared-memory scene transport
-  (:mod:`repro.serve.transport`): the default ``transport='shm'`` mode
-  publishes each request's input arrays once, workers attach lazily, and
-  tile tasks carry ``(digest, window)`` references instead of copied
-  arrays; ``put_scene`` handles let a client stream requests over the
+  (:mod:`repro.serve.transport`): every scheduler publishes each
+  request's input arrays once, workers attach lazily, and tile tasks
+  carry ``(digest, window)`` references instead of copied arrays; ``put_scene`` handles let a client stream requests over the
   same scene while shipping its bytes exactly once.
 * :func:`serve_stdio` — the line-delimited JSON request loop behind
   ``python -m repro serve --jobs N`` (strict RFC 8259 responses; a

@@ -60,19 +60,16 @@ class ServingClient:
         Start every worker during construction instead of lazily on the
         first request (default True — serving wants cold-start paid at
         boot, not billed to the first caller).
-    transport:
-        Scene transport: ``'shm'`` ships scenes once through the
-        content-addressed shared-memory store (repeated scenes are
-        zero-byte cache hits, and :meth:`put_scene` handles are
-        available); ``'copy'`` pickles tile slices per request.  Both
-        are bit-identical to ``run_tiled``.  ``None`` (default) takes
-        the config's transport.
     config:
         The client's default :class:`repro.config.RunConfig`; ``None``
         resolves to ``RunConfig.default()`` — the fast preset.  Every
         request inherits it unless it carries its own ``config=``, and
         the explicit constructor arguments above override its
-        ``jobs``/``backend``/``mp_context``/``transport`` fields.
+        ``jobs``/``backend``/``mp_context`` fields.
+
+    Scenes ship once through the scheduler's content-addressed
+    shared-memory store: repeated scenes are zero-byte cache hits, and
+    :meth:`put_scene` handles skip shipping altogether.
     """
 
     def __init__(self, jobs: Optional[int] = None, *,
@@ -81,7 +78,6 @@ class ServingClient:
                  pool: Optional[WorkerPool] = None,
                  max_inflight: Optional[int] = None,
                  warmup: bool = True,
-                 transport: Optional[str] = None,
                  config: Optional[RunConfig] = None):
         cfg = RunConfig.resolve(config)
         self.config = cfg
@@ -92,7 +88,7 @@ class ServingClient:
             # validate before warming: a bad max_inflight must not leave
             # an orphaned, already-spawned worker fleet behind
             self.scheduler = Scheduler(self.pool, max_inflight=max_inflight,
-                                       transport=transport, config=cfg)
+                                       config=cfg)
             if warmup:
                 self.pool.warmup()
         except BaseException:

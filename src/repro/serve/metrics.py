@@ -157,12 +157,12 @@ class ServeMetrics:
             "shared-memory scene store (zero scene bytes shipped)")
         self.scene_misses = Counter(
             "serve_scene_cache_misses_total",
-            "Requests whose scene had to be published (or, under copy "
-            "transport, copied and pickled) to the workers")
+            "Requests whose scene had to be published into the "
+            "shared-memory scene store")
         self.scene_bytes_shipped = Counter(
             "serve_scene_bytes_shipped_total",
             "Scene bytes that crossed a process boundary: full inputs "
-            "per copy-mode request or shm-store miss, zero on a hit")
+            "on a scene-store miss, zero on a hit")
         self.queue_wait_s = Window(
             "serve_queue_wait_seconds",
             "Request admission to first tile dispatch")

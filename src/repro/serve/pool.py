@@ -146,20 +146,13 @@ class WorkerPool:
     backend:
         Execution-backend name each worker pins at startup; defaults to
         the backend active in the creating process.
-    scene_store:
-        An optional :class:`repro.serve.transport.SceneStore` whose
-        lifetime this pool adopts: :meth:`close` closes (unlinks) it
-        after the workers shut down, so a pool torn down by any path —
-        context-manager exit, explicit close, test fixture — cannot
-        strand shared-memory scene segments.
 
     Use as a context manager, or call :meth:`close` explicitly; workers
     stay resident between calls either way.
     """
 
     def __init__(self, jobs: int, *, mp_context: MpContextLike = None,
-                 backend: Optional[str] = None,
-                 scene_store: Optional[Any] = None):
+                 backend: Optional[str] = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = int(jobs)
@@ -167,7 +160,6 @@ class WorkerPool:
         self._ctx = resolve_mp_context(mp_context)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._broken = False
-        self.scene_store = scene_store
         #: Lifetime count of :meth:`restart` calls — the serving metrics
         #: read it as the pool's crash-respawn trajectory.
         self.restarts = 0
@@ -201,10 +193,6 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self.scene_store is not None:
-            # After the workers are gone: segments unlink exactly once,
-            # whatever order the owning front-end tears things down in.
-            self.scene_store.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

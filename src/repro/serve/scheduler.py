@@ -102,6 +102,12 @@ class Scheduler:
     :class:`repro.serve.client.ServingClient`).  See the module docstring
     for the determinism, fairness and failure contracts.
 
+    Every request's scene ships through the scheduler's own
+    content-addressed shared-memory
+    :class:`~repro.serve.transport.SceneStore` (``scheduler.scene_store``):
+    a repeated scene is a cache hit shipping zero bytes, and tile tasks
+    carry references instead of copied arrays.  :meth:`close` unlinks it.
+
     Parameters
     ----------
     pool:
@@ -113,18 +119,6 @@ class Scheduler:
     metrics:
         The :class:`~repro.serve.metrics.ServeMetrics` registry to feed;
         a fresh one is created when omitted.
-    transport:
-        ``'shm'`` ships each request's scene through the
-        content-addressed shared-memory
-        :class:`~repro.serve.transport.SceneStore` — repeated scenes are
-        cache hits shipping zero bytes, and tile tasks carry references
-        instead of copied arrays.  ``'copy'`` is the PR 5 behaviour
-        (self-contained pickled tile tasks).  Both are bit-identical to
-        ``run_tiled``.  ``None`` (default) takes the config's transport
-        (``'shm'`` on the default preset).
-    scene_store:
-        Use an existing store instead of owning one (``transport='shm'``
-        only; the caller then keeps responsibility for closing it).
     config:
         The scheduler's default :class:`repro.config.RunConfig` —
         applied to every request that doesn't carry its own (see
@@ -137,27 +131,15 @@ class Scheduler:
     def __init__(self, pool: WorkerPool,
                  max_inflight: Optional[int] = None,
                  metrics: Optional[ServeMetrics] = None,
-                 transport: Optional[str] = None,
-                 scene_store: Optional[SceneStore] = None,
                  config: Optional[RunConfig] = None) -> None:
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        cfg = RunConfig.resolve(config)
-        if transport is not None:
-            cfg = cfg.replace(transport=transport)   # validates the name
-        transport = cfg.transport
-        if scene_store is not None and transport != "shm":
-            raise ValueError("scene_store= requires transport='shm'")
-        self.config = cfg
+        self.config = RunConfig.resolve(config)
         self.pool = pool
         self.max_inflight = (max_inflight if max_inflight is not None
                              else pool.capacity)
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        self.transport = transport
-        self._owns_store = transport == "shm" and scene_store is None
-        self.scene_store = (scene_store if scene_store is not None
-                            else SceneStore() if transport == "shm"
-                            else None)
+        self.scene_store = SceneStore()
         self._round_robin: "deque[ServeRequest]" = deque()
         self._inflight = 0
         self._ids = itertools.count()
@@ -197,8 +179,7 @@ class Scheduler:
         at build time); cross-thread callers should pass one of the two,
         since the active backend is process-global.  ``scene`` submits
         against a scene handle from :meth:`put_scene` instead of
-        ``inputs`` (shared-memory transport only): the request then
-        ships no scene bytes at all.
+        ``inputs``: the request then ships no scene bytes at all.
         """
         loop = asyncio.get_running_loop()
         if self._loop is None:
@@ -206,8 +187,6 @@ class Scheduler:
         elif self._loop is not loop:
             raise RuntimeError("Scheduler is bound to a different event "
                                "loop; create one scheduler per loop")
-        if scene is not None and self.scene_store is None:
-            raise ValueError("scene= handles need transport='shm'")
         t_admit = time.perf_counter()
         try:
             plan = _executor.build_tile_tasks(
@@ -218,8 +197,7 @@ class Scheduler:
                 backend=backend, scene_store=self.scene_store, scene=scene)
         except KeyError as exc:   # expired/unknown scene handle
             raise ValueError(str(exc.args[0]) if exc.args else str(exc))
-        if plan.scene is not None:
-            self.metrics.on_scene(plan.scene.hit, plan.scene.bytes_shipped)
+        self.metrics.on_scene(plan.scene.hit, plan.scene.bytes_shipped)
         # Requests rejected during task building never count as admitted:
         # they touched neither the pool nor the dispatch loop.
         if not plan.tasks:
@@ -227,7 +205,7 @@ class Scheduler:
             # grid; resolve now exactly as run_tiled would — completion
             # otherwise only happens inside a tile callback that never
             # fires, and the await would hang forever.
-            self._release_scene(plan)
+            self.scene_store.release(plan.scene.digest)
             self.metrics.on_admit()
             self.metrics.on_request_done(
                 True, queue_wait=0.0, exec_s=0.0,
@@ -248,26 +226,21 @@ class Scheduler:
         Subsequent :meth:`submit_app` calls may pass ``scene=digest``
         instead of ``inputs`` and ship zero scene bytes.  The scene stays
         resident until :meth:`drop_scene` (it is exempt from cache
-        eviction while pinned).  Shared-memory transport only.
+        eviction while pinned).
         """
-        if self.scene_store is None:
-            raise ValueError("put_scene needs transport='shm'")
         return self.scene_store.pin(inputs).digest
 
     def drop_scene(self, digest: str) -> None:
         """Unpin a :meth:`put_scene` handle (idempotent once unpinned)."""
-        if self.scene_store is None:
-            raise ValueError("drop_scene needs transport='shm'")
         self.scene_store.unpin(digest)
 
     def close(self) -> None:
-        """Tear down the scheduler-owned scene store (if any).
+        """Tear down the scheduler's scene store.
 
         Call after :meth:`drain`; the pool is closed separately by
         whoever owns it.  Idempotent.
         """
-        if self._owns_store and self.scene_store is not None:
-            self.scene_store.close()
+        self.scene_store.close()
 
     @property
     def active_requests(self) -> int:
@@ -290,10 +263,8 @@ class Scheduler:
             "broken": self.pool.broken,
             "closed": self.pool.closed,
         }
-        snap["transport"] = self.transport
         snap["config"] = self.config.to_dict()
-        if self.scene_store is not None:
-            snap["scene_store"] = self.scene_store.stats()
+        snap["scene_store"] = self.scene_store.stats()
         return snap
 
     async def drain(self) -> None:
@@ -387,19 +358,12 @@ class Scheduler:
             request.future.set_exception(exc)
         self._finalize(request, ok=False)
 
-    def _release_scene(self, plan: "_executor.TilePlan") -> None:
-        """Drop one request's scene-store reference (shm transport)."""
-        if (self.scene_store is not None and plan.scene is not None
-                and plan.scene.digest is not None
-                and not self.scene_store.closed):
-            self.scene_store.release(plan.scene.digest)
-
     def _finalize(self, request: ServeRequest, ok: bool) -> None:
         """Record one request's terminal metrics, exactly once."""
         if request.counted:
             return
         request.counted = True
-        self._release_scene(request.plan)
+        self.scene_store.release(request.plan.scene.digest)
         now = time.perf_counter()
         start = request.t_first_dispatch
         self.metrics.on_request_done(

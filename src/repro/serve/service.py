@@ -38,7 +38,7 @@ Run request (``"type": "run"``, the default when ``type`` is omitted)::
   a silently ignored key (the pre-fix behaviour for ``backend``) means a
   client believes it pinned something it didn't.
 
-Scene handles (shared-memory transport, the default) let a client
+Scene handles (the scheduler's shared-memory scene store) let a client
 streaming many requests over the same inputs ship the arrays **once**:
 publish them with ``put_scene``, then pass the returned digest as
 ``"scene"`` in run requests instead of ``"inputs"``, and drop the handle
@@ -235,7 +235,6 @@ def serve_stdio(in_stream: Optional[TextIO] = None,
                 jobs: Optional[int] = None, mp_context: Any = None,
                 backend: Optional[str] = None,
                 max_pending: int = 64,
-                transport: Optional[str] = None,
                 config: Optional[RunConfig] = None) -> int:
     """Run the serving loop until EOF on ``in_stream``; returns 0.
 
@@ -246,11 +245,8 @@ def serve_stdio(in_stream: Optional[TextIO] = None,
     :meth:`Scheduler.stats` echoes it.  The explicit arguments override
     the config: ``jobs`` sizes the resident pool (default: the config's
     ``jobs``, but never below 2 — a 1-worker server cannot overlap
-    requests), ``mp_context``/``backend`` pin its start method and
-    execution backend, and ``transport`` picks the scene transport
-    (``'shm'`` zero-copy shared-memory store with scene handles, or
-    ``'copy'`` pickled tile slices; both are bit-identical to
-    ``run_tiled``).  The default context here is ``forkserver`` where
+    requests), and ``mp_context``/``backend`` pin its start method and
+    execution backend.  The default context here is ``forkserver`` where
     available (not the package-wide ``fork`` default): a serving process
     is multi-threaded for its whole life, and only a forkserver/spawn
     pool can respawn crashed workers without forking a threaded process.
@@ -331,7 +327,7 @@ def serve_stdio(in_stream: Optional[TextIO] = None,
             else:
                 await respond(encode_response(req_id, image, ledger))
 
-        scheduler = Scheduler(pool, transport=transport, config=cfg)
+        scheduler = Scheduler(pool, config=cfg)
         while True:
             line = await loop.run_in_executor(None, in_stream.readline)
             if not line:

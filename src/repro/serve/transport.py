@@ -60,7 +60,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -110,15 +110,15 @@ class SceneTileRef(NamedTuple):
 
 
 class SceneTicket(NamedTuple):
-    """Per-request transport accounting, recorded on the tile plan.
+    """Per-request scene-store accounting, recorded on the tile plan.
 
-    ``digest`` is ``None`` in copy mode (nothing to release).  ``hit``
-    says whether the scene bytes were already resident; ``bytes_shipped``
-    counts what actually crossed a process boundary for the scene — the
-    full input bytes in copy mode or on an shm miss, zero on an shm hit.
+    ``digest`` names the scene reference the request must ``release``.
+    ``hit`` says whether the scene bytes were already resident;
+    ``bytes_shipped`` counts what actually crossed a process boundary for
+    the scene — the full input bytes on a miss, zero on a hit.
     """
 
-    digest: Optional[str]
+    digest: str
     hit: bool
     bytes_shipped: int
 

@@ -49,7 +49,6 @@ class TestValidation:
         assert cfg.cell_model == "column"
         assert cfg.fault_sampling == "sparse"
         assert cfg.fault_domain == "word"
-        assert cfg.transport == "shm"
         assert cfg.jobs == 1 and cfg.tile is None and cfg.seed == 0
         assert cfg == RunConfig.fast() == RunConfig.default()
 
@@ -63,7 +62,6 @@ class TestValidation:
         ("cell_model", "bogus"),
         ("fault_sampling", "bogus"),
         ("fault_domain", "bogus"),
-        ("transport", "bogus"),
         ("mp_context", "bogus"),
         ("backend", "bogus"),
         ("jobs", 0),
@@ -135,7 +133,7 @@ class TestRoundTrip:
         RunConfig(),
         RunConfig.oracle(),
         RunConfig.fast(backend="packed", jobs=3, tile=8, seed=11,
-                       transport="copy", mp_context="spawn"),
+                       mp_context="spawn"),
     ])
     def test_from_dict_to_dict_identity(self, cfg):
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -428,12 +426,20 @@ class TestServingThreading:
         stats = got["stats-probe"]["stats"]
         assert stats["config"] == RunConfig.default().to_dict()
 
-    def test_stdio_rejects_unknown_config_key_by_name(self):
+    # "transport" is an old client's key: the field no longer exists
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("cellmodel", "column", id="cellmodel"),
+        pytest.param("transport", "copy", id="transport"),
+    ])
+    def test_stdio_rejects_unknown_config_key_by_name(self, key, value):
         raw = {"id": "x", "kernel": "gamma_correct",
                "inputs": {"image": _image().tolist()}, "length": 16,
-               "tile": 4, "seed": 0, "config": {"cellmodel": "column"}}
+               "tile": 4, "seed": 0, "config": {key: value}}
         stdin = io.StringIO(json.dumps(raw) + "\n")
         stdout = io.StringIO()
         assert serve_stdio(stdin, stdout, jobs=1) == 0
-        resp = json.loads(stdout.getvalue().splitlines()[0])
-        assert resp["ok"] is False and "cellmodel" in resp["error"]
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1
+        resp = json.loads(lines[0])
+        assert resp["id"] == "x"
+        assert resp["ok"] is False and key in resp["error"]

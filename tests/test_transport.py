@@ -5,8 +5,8 @@ that ride with it:
 
 * the content-addressed :class:`SceneStore` — publish/hit/release
   refcounting, ``put_scene`` pins, LRU eviction, close-is-final;
-* shm-reference transport is **bit-identical** to the copy transport and
-  to ``run_tiled(jobs=1)``, including through scene handles;
+* shm-reference transport is **bit-identical** to ``run_tiled(jobs=1)``,
+  including through the scheduler and scene handles;
 * shared-memory **hygiene**: no orphaned ``/dev/shm`` segments and no
   ``resource_tracker`` noise after normal shutdown, after a cancelled
   request, and after a SIGKILL'd worker mid-request;
@@ -175,7 +175,7 @@ class TestSceneStore:
 
 
 # ----------------------------------------------------------------------
-# bit-identity: shm transport == copy transport == run_tiled(jobs=1)
+# bit-identity: shm transport == run_tiled(jobs=1)
 # ----------------------------------------------------------------------
 class TestTransportIdentity:
     @pytest.mark.parametrize("backend", ("unpacked", "packed"))
@@ -201,9 +201,9 @@ class TestTransportIdentity:
                             seed=5, kernel_kwargs={"gamma": 0.7})
         backend = get_backend().name
 
-        async def serve(transport):
+        async def serve():
             with WorkerPool(2) as pool:
-                scheduler = Scheduler(pool, transport=transport)
+                scheduler = Scheduler(pool)
                 out = await asyncio.gather(*[
                     scheduler.submit_app(
                         "gamma_correct", inputs, 32, tile=4, seed=5,
@@ -214,21 +214,16 @@ class TestTransportIdentity:
                 scheduler.close()
                 return out, stats
 
-        for transport in ("shm", "copy"):
-            served, stats = asyncio.run(serve(transport))
-            for img_out, _ in served:
-                np.testing.assert_array_equal(base, img_out)
-            cache = stats["scene_cache"]
-            assert stats["transport"] == transport
-            if transport == "shm":
-                # same scene three times: one miss, then hits, and only
-                # the miss shipped bytes
-                assert cache["misses"] == 1 and cache["hits"] == 2
-                total = sum(int(a.nbytes) for a in inputs.values())
-                assert cache["bytes_shipped"] == total
-                assert stats["scene_store"]["hits"] >= 2
-            else:
-                assert cache["hits"] == 0 and cache["misses"] == 3
+        served, stats = asyncio.run(serve())
+        for img_out, _ in served:
+            np.testing.assert_array_equal(base, img_out)
+        # same scene three times: one miss, then hits, and only the miss
+        # shipped bytes
+        cache = stats["scene_cache"]
+        assert cache["misses"] == 1 and cache["hits"] == 2
+        total = sum(int(a.nbytes) for a in inputs.values())
+        assert cache["bytes_shipped"] == total
+        assert stats["scene_store"]["hits"] >= 2
         assert _my_segments() == []
 
     def test_put_scene_handle_round_trip(self):
@@ -328,14 +323,6 @@ class TestShmHygiene:
 
         with WorkerPool(2, mp_context="fork") as pool:
             asyncio.run(die_then_recover(pool))
-        assert _my_segments() == []
-
-    def test_pool_close_tears_down_adopted_store(self):
-        store = SceneStore()
-        store.publish({"image": _image(8)})
-        pool = WorkerPool(1, scene_store=store)
-        pool.close()
-        assert store.closed
         assert _my_segments() == []
 
     @pytest.mark.parametrize("mp_context", [
