@@ -7,7 +7,7 @@ sensing-step flip site drew a full ``shape``-sized uniform array even at
 per-gate rates around 1e-3.  ``fault_sampling='sparse'`` draws each
 site's flip *count* from ``Binomial(n_sites, p)`` and scatters that many
 site indices straight into the packed payload
-(:meth:`repro.core.streambatch.StreamBatch.flip_at`), so the fault model's
+(:meth:`repro.core.bitstream.Bitstream.flip_at`), so the fault model's
 cost scales with the expected number of flips instead of the number of
 stream bits.
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..bincim.design import BinaryCimDesign
 from ..core import ops as scops
-from ..core.streambatch import StreamBatch
 from ..imsc.engine import InMemorySCEngine
 from .images import from_uint8, to_uint8
 
@@ -52,8 +51,8 @@ def composite_sc_kernel(engine: InMemorySCEngine, foreground: np.ndarray,
     This is the unit of work the sharded executor fans out per tile; the
     whole-image wrapper below just ravels/reshapes around it.  The F/B
     operand stack is generated as one batched stream array and split by
-    payload slicing (:meth:`StreamBatch.select`) — no unpacking under any
-    backend.
+    payload slicing (:meth:`~repro.core.bitstream.Bitstream.select`) — no
+    unpacking under any backend.
     """
     # One in-memory random-row fill serves the whole image (the hardware
     # reuses the TRNG rows across conversions): F/B streams share that
@@ -61,10 +60,8 @@ def composite_sc_kernel(engine: InMemorySCEngine, foreground: np.ndarray,
     # the stochastic error spatially smooth — pixels with similar values
     # get nearly identical errors, preserving structural similarity.
     f, b, a = foreground, background, alpha
-    fb = StreamBatch.from_bitstream(
-        engine.generate_correlated(np.stack([f, b]), length))
-    sf = fb.select(0).to_bitstream()  # repro-lint: disable=RL003 -- zero-copy payload wrap
-    sb = fb.select(1).to_bitstream()  # repro-lint: disable=RL003 -- zero-copy payload wrap
+    fb = engine.generate_correlated(np.stack([f, b]), length)
+    sf, sb = fb.select(0), fb.select(1)
     if use_mux:
         # Conventional MUX (select = alpha, 1 -> foreground), priced like a
         # single-step op for an apples-to-apples accuracy ablation.

@@ -17,10 +17,11 @@ Each filter exists in three forms, mirroring the evaluation applications:
   image out) registered in :data:`repro.apps.executor.KERNELS`, so every
   filter runs through ``run_tiled(..., jobs=N)`` with deterministic
   per-tile seeds.  Operands are generated as one batched
-  :class:`~repro.core.streambatch.StreamBatch` per role stack and split by
-  payload slicing — under the packed backend nothing unpacks, including
-  the Bernstein select network (word-domain
-  :meth:`~repro.core.streambatch.StreamBatch.exact_count`) and the S-to-B
+  :class:`~repro.core.bitstream.Bitstream` per role stack and split by
+  payload slicing (:meth:`~repro.core.bitstream.Bitstream.select`) — under
+  the packed backend nothing unpacks, including the Bernstein select
+  network (word-domain
+  :meth:`~repro.core.bitstream.Bitstream.exact_count`) and the S-to-B
   readout when the engine uses ``cell_model='column'``;
 * ``*_sc`` — the whole-image wrapper (neighbourhood extraction + reshape
   around the kernel), keeping the historical signature.
@@ -41,7 +42,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..core.streambatch import StreamBatch
+from ..core.bitstream import Bitstream
 from ..imsc.engine import InMemorySCEngine
 
 __all__ = [
@@ -96,14 +97,10 @@ def roberts_cross_kernel(engine: InMemorySCEngine, p00: np.ndarray,
     correlated inputs and the shared draw keeps errors spatially smooth.
     The 0.5 MAJ select is an independent stream (see module docs).
     """
-    streams = StreamBatch.from_bitstream(
-        engine.generate_correlated(np.stack([p00, p11, p01, p10]), length))
-    # Audited: select() slices the payload and to_bitstream() wraps it —
-    # no bit expansion under either backend (RL003 audit trail below).
-    d1 = engine.abs_subtract(streams.select(0).to_bitstream(),  # repro-lint: disable=RL003 -- zero-copy payload wrap
-                             streams.select(1).to_bitstream())  # repro-lint: disable=RL003 -- zero-copy payload wrap
-    d2 = engine.abs_subtract(streams.select(2).to_bitstream(),  # repro-lint: disable=RL003 -- zero-copy payload wrap
-                             streams.select(3).to_bitstream())  # repro-lint: disable=RL003 -- zero-copy payload wrap
+    streams = engine.generate_correlated(np.stack([p00, p11, p01, p10]),
+                                         length)
+    d1 = engine.abs_subtract(streams.select(0), streams.select(1))
+    d2 = engine.abs_subtract(streams.select(2), streams.select(3))
     half = engine.generate(np.full(p00.size, 0.5), length)
     return np.asarray(engine.to_binary(engine.maj(d1, d2, half)))
 
@@ -142,9 +139,9 @@ def mean_filter_kernel(engine: InMemorySCEngine, p00: np.ndarray,
     (independent of the operands as well) so each MAJ is an unbiased
     scaled addition.
     """
-    streams = StreamBatch.from_bitstream(
-        engine.generate_correlated(np.stack([p00, p01, p10, p11]), length))
-    sa, sb, sc_, sd = (streams.select(k).to_bitstream() for k in range(4))  # repro-lint: disable=RL003 -- zero-copy payload wrap
+    streams = engine.generate_correlated(np.stack([p00, p01, p10, p11]),
+                                         length)
+    sa, sb, sc_, sd = (streams.select(k) for k in range(4))
     halves = [engine.generate(np.full(p00.size, 0.5), length)
               for _ in range(3)]
     lo = engine.maj(sa, sb, halves[0])     # (p00 + p01) / 2
@@ -196,17 +193,16 @@ def gamma_correct_kernel(engine: InMemorySCEngine, image: np.ndarray,
 
     ``degree`` independent copies of the pixel stream feed the select
     population count — evaluated as word-domain one-hot indicators
-    (:meth:`StreamBatch.exact_count`) — and the Bernstein coefficients
+    (:meth:`Bitstream.exact_count`) — and the Bernstein coefficients
     ride in one correlated constant-stream stack, selected with bulk
     AND/OR.  No unpacking anywhere in the datapath.
     """
     flat = np.asarray(image, dtype=np.float64)
     b = _gamma_bernstein(gamma, degree)
-    copies = [StreamBatch.from_bitstream(engine.generate(flat, length))
-              for _ in range(degree)]
-    indicators = StreamBatch.exact_count(copies)
-    coeffs = StreamBatch.from_bitstream(engine.generate_correlated(
-        np.stack([np.full(flat.size, bk) for bk in b]), length))
+    copies = [engine.generate(flat, length) for _ in range(degree)]
+    indicators = Bitstream.exact_count(copies)
+    coeffs = engine.generate_correlated(
+        np.stack([np.full(flat.size, bk) for bk in b]), length)
     out = indicators[0] & coeffs.select(0)
     for k in range(1, degree + 1):
         out = out | (indicators[k] & coeffs.select(k))
@@ -250,11 +246,8 @@ def contrast_stretch_kernel(engine: InMemorySCEngine, image: np.ndarray,
     flat = np.asarray(image, dtype=np.float64)
     n = flat.size
     stacked = np.stack([flat, np.full(n, lo), np.full(n, hi)])
-    streams = StreamBatch.from_bitstream(
-        engine.generate_correlated(stacked, length))
-    sx = streams.select(0).to_bitstream()   # repro-lint: disable=RL003 -- zero-copy payload wrap
-    slo = streams.select(1).to_bitstream()  # repro-lint: disable=RL003 -- zero-copy payload wrap
-    shi = streams.select(2).to_bitstream()  # repro-lint: disable=RL003 -- zero-copy payload wrap
+    streams = engine.generate_correlated(stacked, length)
+    sx, slo, shi = (streams.select(k) for k in range(3))
     num = engine.abs_subtract(sx, slo)      # |x - lo|
     den = engine.abs_subtract(shi, slo)     # hi - lo (correlated => exact)
     num = engine.minimum(num, den)          # saturate the numerator

@@ -21,7 +21,6 @@ from typing import Tuple
 import numpy as np
 
 from ..bincim.design import BinaryCimDesign
-from ..core.streambatch import StreamBatch
 from ..imsc.engine import InMemorySCEngine
 from .images import from_uint8, to_uint8
 
@@ -85,17 +84,15 @@ def upscale_sc_kernel(engine: InMemorySCEngine, i11: np.ndarray,
     # Shared random-row fills (one per independent stream role) keep the
     # per-pixel stochastic error spatially smooth; see compositing.
     stacked = np.stack([i11, i12, i21, i22])
-    streams = StreamBatch.from_bitstream(
-        engine.generate_correlated(stacked, length))
-    s11, s12, s21, s22 = (streams.select(k).to_bitstream() for k in range(4))  # repro-lint: disable=RL003 -- zero-copy payload wrap
+    streams = engine.generate_correlated(stacked, length)
+    s11, s12, s21, s22 = (streams.select(k) for k in range(4))
     sdy = engine.generate_correlated(dy, length)
     if first_level_maj:
         dx_lo = np.where(i21 >= i11, dx, 1.0 - dx)
         dx_hi = np.where(i22 >= i12, dx, 1.0 - dx)
-        sel = StreamBatch.from_bitstream(
-            engine.generate_correlated(np.stack([dx_lo, dx_hi]), length))
-        low = engine.maj(s21, s11, sel.select(0).to_bitstream())   # repro-lint: disable=RL003 -- zero-copy payload wrap
-        high = engine.maj(s22, s12, sel.select(1).to_bitstream())  # repro-lint: disable=RL003 -- zero-copy payload wrap
+        sel = engine.generate_correlated(np.stack([dx_lo, dx_hi]), length)
+        low = engine.maj(s21, s11, sel.select(0))
+        high = engine.maj(s22, s12, sel.select(1))
     else:
         sdx = engine.generate_correlated(dx, length)
         low = engine.mux(sdx, s11, s21)    # dx=1 -> i21

@@ -26,7 +26,6 @@ from typing import Tuple
 import numpy as np
 
 from ..bincim.design import BinaryCimDesign
-from ..core.streambatch import StreamBatch
 from ..imsc.engine import InMemorySCEngine
 from .compositing import composite_float
 from .images import to_uint8
@@ -57,11 +56,8 @@ def matting_sc_kernel(engine: InMemorySCEngine, composite: np.ndarray,
     :func:`repro.core.ops.div_cordiv`.
     """
     stacked = np.stack([composite, background, foreground])
-    streams = StreamBatch.from_bitstream(
-        engine.generate_correlated(stacked, length))
-    si = streams.select(0).to_bitstream()  # repro-lint: disable=RL003 -- zero-copy payload wrap
-    sb = streams.select(1).to_bitstream()  # repro-lint: disable=RL003 -- zero-copy payload wrap
-    sf = streams.select(2).to_bitstream()  # repro-lint: disable=RL003 -- zero-copy payload wrap
+    streams = engine.generate_correlated(stacked, length)
+    si, sb, sf = (streams.select(k) for k in range(3))
     num = engine.abs_subtract(si, sb)    # |I - B|
     den = engine.abs_subtract(sf, sb)    # |F - B|
     alpha = engine.divide(num, den)      # CORDIV: num/den

@@ -14,10 +14,11 @@ estimated alpha and compare against the blend using the true alpha.
 Batched word-domain execution
 -----------------------------
 The SC path runs entirely on batched stream arrays: operands are generated
-as one :class:`~repro.core.streambatch.StreamBatch` per role stack (shape
+as one :class:`~repro.core.bitstream.Bitstream` per role stack (shape
 ``(..., words)`` in the active backend's layout) and split by payload
-slicing, so under the ``packed`` backend a whole image flows through
-generation → logic → fault injection → readout as uint64 words.
+slicing (:meth:`~repro.core.bitstream.Bitstream.select`), so under the
+``packed`` backend a whole image flows through generation → logic →
+fault injection → readout as uint64 words.
 
 Sharding (``jobs`` / ``tile``)
 ------------------------------

@@ -16,7 +16,6 @@ from .backend import (
     use_backend,
 )
 from .bitstream import Bitstream
-from .streambatch import StreamBatch
 from .encoding import (
     binary_to_prob,
     bipolar_to_prob,
@@ -68,7 +67,6 @@ __all__ = [
     "available_backends", "get_backend", "register_backend", "set_backend",
     "use_backend",
     "Bitstream",
-    "StreamBatch",
     "binary_to_prob", "bipolar_to_prob", "prob_to_binary", "prob_to_bipolar",
     "prob_to_unipolar", "quantize", "unipolar_to_prob",
     "CounterRng", "Lfsr", "P2lsgRng", "PAPER_POLY_8", "PRIMITIVE_POLY_8", "RandomSource",

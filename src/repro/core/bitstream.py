@@ -28,6 +28,18 @@ on demand and caches — behave identically under every backend;
 ``tests/test_backend_equivalence.py`` asserts bit-exact agreement op by op.
 To add a third backend, subclass ``ExecutionBackend``, register it, and run
 that suite against its name (see :mod:`repro.core.backend`).
+
+Batched word-domain execution
+-----------------------------
+The application kernels and the in-memory engine work on whole operand
+stacks without leaving the payload layout: :meth:`Bitstream.select`
+slices batch axes of the payload (a ``(k, n_pixels, N)`` stack splits into
+per-role streams), :meth:`Bitstream.compare` / :meth:`Bitstream.constant`
+build comparator output and per-element constant streams, and
+:meth:`Bitstream.flip` / :meth:`Bitstream.flip_at` XOR fault masks or
+scattered fault sites into the payload.  ``.bits``, ``__getitem__``
+(which may index the stream axis), ``concat`` and operands from a
+different backend unpack; none of them is on the kernel hot path.
 """
 
 from __future__ import annotations
@@ -41,6 +53,13 @@ from .backend import ExecutionBackend, get_backend
 __all__ = ["Bitstream"]
 
 ArrayLike = Union[np.ndarray, Sequence[int], Sequence[Sequence[int]]]
+
+
+def _resolve(backend: Union[ExecutionBackend, str, None]) -> ExecutionBackend:
+    """A backend instance, a registry name, or ``None`` for the active one."""
+    if isinstance(backend, ExecutionBackend):
+        return backend
+    return get_backend(backend)
 
 
 def _as_bits(data: ArrayLike) -> np.ndarray:
@@ -86,8 +105,7 @@ class Bitstream:
         arr = _as_bits(bits)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        be = backend if isinstance(backend, ExecutionBackend) \
-            else get_backend(backend)
+        be = _resolve(backend)
         self._backend = be
         self._length = arr.shape[-1]
         self._data = be.pack(arr)
@@ -118,8 +136,7 @@ class Bitstream:
               backend: Union[ExecutionBackend, str, None] = None) -> "Bitstream":
         """All-zero stream(s) representing probability 0."""
         shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-        be = backend if isinstance(backend, ExecutionBackend) \
-            else get_backend(backend)
+        be = _resolve(backend)
         return cls._from_payload(be.zeros(shape[:-1], shape[-1]), shape[-1], be)
 
     @classmethod
@@ -127,8 +144,7 @@ class Bitstream:
              backend: Union[ExecutionBackend, str, None] = None) -> "Bitstream":
         """All-one stream(s) representing probability 1."""
         shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-        be = backend if isinstance(backend, ExecutionBackend) \
-            else get_backend(backend)
+        be = _resolve(backend)
         return cls._from_payload(be.ones(shape[:-1], shape[-1]), shape[-1], be)
 
     @classmethod
@@ -146,9 +162,36 @@ class Bitstream:
             arr = arr.astype(np.bool_)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        be = backend if isinstance(backend, ExecutionBackend) \
-            else get_backend(backend)
+        be = _resolve(backend)
         return cls._from_payload(be.from_bool(arr), arr.shape[-1], be)
+
+    @classmethod
+    def constant(cls, bits: np.ndarray, length: int,
+                 backend: Union[ExecutionBackend, str, None] = None
+                 ) -> "Bitstream":
+        """Per-element constant streams: all-ones where ``bits`` is 1.
+
+        This is the word-domain form of broadcasting an operand bit-plane
+        along the stream axis (one payload row per element instead of
+        ``length`` repeated bits), used by the faulty IMSNG scan.
+        """
+        be = _resolve(backend)
+        sel = np.asarray(bits) != 0
+        data = np.where(sel[..., None], be.ones((), length),
+                        be.zeros((), length))
+        return cls._from_payload(data, length, be)
+
+    @classmethod
+    def compare(cls, codes: np.ndarray, rn: np.ndarray,
+                backend: Union[ExecutionBackend, str, None] = None
+                ) -> "Bitstream":
+        """Batched SNG comparator: stream bit ``j`` is 1 iff ``codes > rn_j``.
+
+        ``rn`` carries the stream axis last and broadcasts against
+        ``codes[..., None]`` — one vectorised greater-than over the whole
+        operand batch, packed straight into the payload.
+        """
+        return cls.from_bool(np.asarray(codes)[..., None] > rn, backend)
 
     @classmethod
     def from_packed(cls, packed: np.ndarray, length: int,
@@ -178,8 +221,7 @@ class Bitstream:
             raise ValueError(
                 f"packed last axis has {arr.shape[-1]} bytes, but length "
                 f"{length} requires exactly {n_bytes}")
-        be = backend if isinstance(backend, ExecutionBackend) \
-            else get_backend(backend)
+        be = _resolve(backend)
         return cls._from_payload(be.from_packed_bytes(arr, length), length, be)
 
     @classmethod
@@ -258,9 +300,6 @@ class Bitstream:
         """Estimated unipolar value = popcount / N, per stream."""
         return self._backend.mean(self._data, self._length)
 
-    # Alias kept for symmetry with the backend protocol vocabulary.
-    to_value = value
-
     def bipolar_value(self) -> np.ndarray:
         """Estimated bipolar value = 2*P(1) - 1, per stream."""
         return 2.0 * self.value() - 1.0
@@ -314,11 +353,82 @@ class Bitstream:
         data = be.maj3(a._data, b._payload_for(be), c._payload_for(be))
         return Bitstream._from_payload(data, a._length, be)
 
+    @staticmethod
+    def exact_count(streams: Sequence["Bitstream"]) -> "list[Bitstream]":
+        """One-hot count indicators over parallel stream batches.
+
+        Given ``d`` equal-shape batches, returns ``d + 1`` batches
+        ``E[0] .. E[d]`` where bit ``j`` of ``E[k]`` is 1 iff *exactly*
+        ``k`` of the inputs have bit ``j`` set — the symmetric function
+        behind the Bernstein MUX network (the select population count of
+        :func:`repro.apps.filters.gamma_correct_sc`).  Evaluated by
+        word-domain dynamic programming (two ANDs + an OR per input and
+        count), so packed payloads never unpack.
+        """
+        group = list(streams)
+        if not group:
+            raise ValueError("exact_count needs at least one stream batch")
+        first = group[0]
+        e = [Bitstream.ones(first.shape, first._backend)]
+        for x in group:
+            nx = ~x
+            nxt = [e[0] & nx]
+            nxt.extend((e[k] & nx) | (e[k - 1] & x) for k in range(1, len(e)))
+            nxt.append(e[-1] & x)
+            e = nxt
+        return e
+
+    def flip(self, mask: np.ndarray) -> "Bitstream":
+        """XOR a boolean per-bit fault mask into the payload.
+
+        The mask lives in the bit domain (shape ``batch + (length,)``, as
+        sampled by the fault model); it is packed once and applied as a
+        word-domain XOR, so the stream data itself never unpacks.
+        """
+        return self ^ Bitstream.from_bool(mask, self._backend)
+
+    def flip_at(self, flat_sites: np.ndarray) -> "Bitstream":
+        """XOR-flip individual bits addressed by flat bit-domain indices.
+
+        ``flat_sites`` indexes the C-order bit view ``batch_shape +
+        (length,)`` (site ``i`` is bit ``i % length`` of batch element
+        ``i // length``).  Duplicate sites cancel pairwise — XOR semantics,
+        matching :meth:`flip` of a mask with those bits set.  This is the
+        sparse fault path: the engine draws the flip *count* from a
+        Binomial and scatters that many sites straight into the payload,
+        instead of materialising a full ``shape``-sized Bernoulli mask.
+        """
+        sites = np.asarray(flat_sites, dtype=np.int64).reshape(-1)
+        if sites.size == 0:
+            return self
+        n_sites = int(np.prod(self.shape))
+        if sites.min() < 0 or sites.max() >= n_sites:
+            raise IndexError(
+                f"flip sites must lie in [0, {n_sites}) for shape "
+                f"{self.shape}")
+        return Bitstream._from_payload(
+            self._backend.scatter_flip(self._data, sites, self._length),
+            self._length, self._backend)
+
     # ------------------------------------------------------------------
     # Structural ops
     # ------------------------------------------------------------------
     def __getitem__(self, idx) -> "Bitstream":
         return Bitstream(self.bits[idx], backend=self._backend)
+
+    def select(self, index) -> "Bitstream":
+        """Slice batch axes directly on the payload (no unpacking).
+
+        ``index`` may be anything that indexes the *leading* axes of an
+        ndarray (ints, slices, tuples thereof); unlike :meth:`__getitem__`
+        the stream axis is never indexed, which is what lets a generated
+        ``(k, n_pixels, N)`` operand stack split into per-role streams
+        without leaving the word domain.
+        """
+        data = self._data[index]
+        if data.ndim == 0 or data.shape[-1:] != self._data.shape[-1:]:
+            raise IndexError("select() must preserve the storage axis")
+        return Bitstream._from_payload(data, self._length, self._backend)
 
     def roll(self, shift: int) -> "Bitstream":
         """Circularly rotate every stream by ``shift`` bit positions.

@@ -1,327 +1,9 @@
-"""Batched word-domain stream arrays.
+"""Legacy name of :class:`~repro.core.bitstream.Bitstream`.
 
-:class:`StreamBatch` is the bulk execution container the application
-pipelines and the in-memory engine operate on: an n-d batch of equal-length
-bit-streams stored *directly in the active backend's payload layout* (shape
-``batch_shape + (words,)`` under the packed backend, ``batch_shape +
-(length,)`` under the unpacked one).  Every method below — construction from
-comparator output, logic ops, fault-mask application, popcount readout,
-SCC, batch slicing/stacking — executes in that native layout; nothing ever
-round-trips through an unpacked ``uint8`` bit array unless ``.bits`` is
-explicitly requested.
-
-Relationship to :class:`~repro.core.bitstream.Bitstream`
---------------------------------------------------------
-The two classes share the same payload format, so conversion either way
-(:meth:`from_bitstream` / :meth:`to_bitstream`) is zero-copy.  ``Bitstream``
-remains the user-facing scalar/stream container with validation and legacy
-conveniences; ``StreamBatch`` is the lean whole-image workhorse: its batch
-accessors (``select``, ``__getitem__``) slice the payload's leading axes
-instead of unpacking, which is what lets the ``repro.apps`` pipelines split
-a generated ``(k, n_pixels, N)`` operand stack into per-role stream arrays
-without leaving the word domain.
-
-Typical pipeline use::
-
-    fb = StreamBatch.from_bitstream(engine.generate_correlated(stack, N))
-    sf, sb = fb.select(0), fb.select(1)       # payload slices, no unpack
-    out = StreamBatch.maj(sf, sb, sel)        # word-domain logic
-    value = out.value()                       # popcount readout
-
-Fault injection (:mod:`repro.imsc.engine`) uses :meth:`flip`: a boolean
-per-bit fault mask — sampled in the bit domain so the RNG consumption
-matches the per-bit conformance oracle — is packed once and XOR-ed into the
-payload, keeping faulty execution at word-level memory traffic.
+Kept only because the frozen benchmark harness (``yardstick/tracing.py``)
+imports ``StreamBatch`` from here and times ``StreamBatch.exact_count``.
 """
 
-from __future__ import annotations
-
-from typing import Iterable, Sequence, Tuple, Union
-
-import numpy as np
-
-from .backend import ExecutionBackend, get_backend
 from .bitstream import Bitstream
 
-__all__ = ["StreamBatch"]
-
-
-def _resolve(backend: Union[ExecutionBackend, str, None]) -> ExecutionBackend:
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    return get_backend(backend)
-
-
-class StreamBatch:
-    """An n-d batch of bit-streams held in the backend's native payload.
-
-    Parameters
-    ----------
-    data:
-        A *canonical* backend payload (as produced by the backend's own
-        ``pack`` / ``from_bool`` / logic methods).  Not validated — use the
-        classmethod constructors for anything user-supplied.
-    length:
-        Stream length ``N`` in bits.
-    backend:
-        Owning execution backend (instance or registry name).
-    """
-
-    __slots__ = ("backend", "data", "length")
-
-    def __init__(self, data: np.ndarray, length: int,
-                 backend: Union[ExecutionBackend, str, None] = None):
-        self.backend = _resolve(backend)
-        self.data = data
-        self.length = int(length)
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_bitstream(cls, stream: Bitstream) -> "StreamBatch":
-        """Zero-copy view of a ``Bitstream``'s payload."""
-        return cls(stream._data, stream.length, stream.backend)
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray,
-                  backend: Union[ExecutionBackend, str, None] = None
-                  ) -> "StreamBatch":
-        """Pack an unpacked uint8 0/1 array (last axis = stream)."""
-        be = _resolve(backend)
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
-        return cls(be.pack(arr), arr.shape[-1], be)
-
-    @classmethod
-    def from_bool(cls, mask: np.ndarray,
-                  backend: Union[ExecutionBackend, str, None] = None
-                  ) -> "StreamBatch":
-        """Pack a boolean array — the comparator-output fast path."""
-        be = _resolve(backend)
-        arr = np.asarray(mask)
-        if arr.dtype != np.bool_:
-            arr = arr.astype(np.bool_)
-        return cls(be.from_bool(arr), arr.shape[-1], be)
-
-    @classmethod
-    def zeros(cls, batch_shape: Tuple[int, ...], length: int,
-              backend: Union[ExecutionBackend, str, None] = None
-              ) -> "StreamBatch":
-        be = _resolve(backend)
-        return cls(be.zeros(tuple(batch_shape), length), length, be)
-
-    @classmethod
-    def ones(cls, batch_shape: Tuple[int, ...], length: int,
-             backend: Union[ExecutionBackend, str, None] = None
-             ) -> "StreamBatch":
-        be = _resolve(backend)
-        return cls(be.ones(tuple(batch_shape), length), length, be)
-
-    @classmethod
-    def constant(cls, bits: np.ndarray, length: int,
-                 backend: Union[ExecutionBackend, str, None] = None
-                 ) -> "StreamBatch":
-        """Per-element constant streams: all-ones where ``bits`` is 1.
-
-        This is the word-domain form of broadcasting an operand bit-plane
-        along the stream axis (one payload row per element instead of
-        ``length`` repeated bits), used by the faulty IMSNG scan.
-        """
-        be = _resolve(backend)
-        sel = np.asarray(bits) != 0
-        one = be.ones((), length)
-        zero = be.zeros((), length)
-        return cls(np.where(sel[..., None], one, zero), length, be)
-
-    @classmethod
-    def compare(cls, codes: np.ndarray, rn: np.ndarray,
-                backend: Union[ExecutionBackend, str, None] = None
-                ) -> "StreamBatch":
-        """Batched SNG comparator: stream bit ``j`` is 1 iff ``codes > rn_j``.
-
-        ``rn`` carries the stream axis last and broadcasts against
-        ``codes[..., None]`` — one vectorised greater-than over the whole
-        operand batch, packed straight into the payload.
-        """
-        return cls.from_bool(np.asarray(codes)[..., None] > rn, backend)
-
-    # ------------------------------------------------------------------
-    # Shape / views
-    # ------------------------------------------------------------------
-    @property
-    def batch_shape(self) -> Tuple[int, ...]:
-        return self.data.shape[:-1]
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        """Bit-domain shape ``batch_shape + (length,)``."""
-        return self.data.shape[:-1] + (self.length,)
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Unpacked uint8 view — debugging/conformance only, never the hot path."""
-        return self.backend.unpack(self.data, self.length)
-
-    def select(self, index) -> "StreamBatch":
-        """Slice batch axes directly on the payload (no unpacking).
-
-        ``index`` may be anything that indexes the *leading* axes of an
-        ndarray (ints, slices, tuples thereof); the storage axis is
-        untouched.
-        """
-        data = self.data[index]
-        if data.ndim == 0 or data.shape[-1:] != self.data.shape[-1:]:
-            raise IndexError("select() must preserve the storage axis")
-        return StreamBatch(data, self.length, self.backend)
-
-    __getitem__ = select
-
-    def reshape(self, *batch_shape: int) -> "StreamBatch":
-        return StreamBatch(
-            self.backend.batch_reshape(self.data, tuple(batch_shape),
-                                       self.length),
-            self.length, self.backend)
-
-    @staticmethod
-    def stack(batches: Iterable["StreamBatch"]) -> "StreamBatch":
-        group = list(batches)
-        if not group:
-            raise ValueError("cannot stack zero stream batches")
-        first = group[0]
-        if any(b.backend is not first.backend or b.length != first.length
-               for b in group):
-            raise ValueError("stacked batches must share backend and length")
-        return StreamBatch(
-            first.backend.batch_stack([b.data for b in group]),
-            first.length, first.backend)
-
-    def to_bitstream(self) -> Bitstream:
-        """Zero-copy ``Bitstream`` wrapper around the same payload."""
-        return Bitstream._from_payload(self.data, self.length, self.backend)
-
-    # ------------------------------------------------------------------
-    # Word-domain logic
-    # ------------------------------------------------------------------
-    def _coerce(self, other: "StreamBatch") -> np.ndarray:
-        if not isinstance(other, StreamBatch):
-            raise TypeError("expected a StreamBatch operand")
-        if other.length != self.length:
-            raise ValueError(
-                f"stream length mismatch: {self.length} vs {other.length}")
-        if other.backend is not self.backend:
-            raise ValueError("operands must share an execution backend")
-        return other.data
-
-    def __and__(self, other: "StreamBatch") -> "StreamBatch":
-        return StreamBatch(
-            self.backend.bitwise_and(self.data, self._coerce(other)),
-            self.length, self.backend)
-
-    def __or__(self, other: "StreamBatch") -> "StreamBatch":
-        return StreamBatch(
-            self.backend.bitwise_or(self.data, self._coerce(other)),
-            self.length, self.backend)
-
-    def __xor__(self, other: "StreamBatch") -> "StreamBatch":
-        return StreamBatch(
-            self.backend.bitwise_xor(self.data, self._coerce(other)),
-            self.length, self.backend)
-
-    def __invert__(self) -> "StreamBatch":
-        return StreamBatch(self.backend.bitwise_not(self.data, self.length),
-                           self.length, self.backend)
-
-    @staticmethod
-    def maj(a: "StreamBatch", b: "StreamBatch", c: "StreamBatch"
-            ) -> "StreamBatch":
-        return StreamBatch(
-            a.backend.maj3(a.data, a._coerce(b), a._coerce(c)),
-            a.length, a.backend)
-
-    @staticmethod
-    def mux(sel: "StreamBatch", a: "StreamBatch", b: "StreamBatch"
-            ) -> "StreamBatch":
-        return StreamBatch(
-            sel.backend.mux2(sel.data, sel._coerce(a), sel._coerce(b),
-                             sel.length),
-            sel.length, sel.backend)
-
-    @staticmethod
-    def exact_count(streams: Sequence["StreamBatch"]) -> "list[StreamBatch]":
-        """One-hot count indicators over parallel stream batches.
-
-        Given ``d`` equal-shape batches, returns ``d + 1`` batches
-        ``E[0] .. E[d]`` where bit ``j`` of ``E[k]`` is 1 iff *exactly*
-        ``k`` of the inputs have bit ``j`` set — the symmetric function
-        behind the Bernstein MUX network (the select population count of
-        :func:`repro.apps.filters.gamma_correct_sc`).  Evaluated by
-        word-domain dynamic programming (two ANDs + an OR per input and
-        count), so packed payloads never unpack.
-        """
-        group = list(streams)
-        if not group:
-            raise ValueError("exact_count needs at least one stream batch")
-        first = group[0]
-        e = [StreamBatch.ones(first.batch_shape, first.length, first.backend)]
-        for x in group:
-            nx = ~x
-            nxt = [e[0] & nx]
-            nxt.extend((e[k] & nx) | (e[k - 1] & x) for k in range(1, len(e)))
-            nxt.append(e[-1] & x)
-            e = nxt
-        return e
-
-    def flip(self, mask: np.ndarray) -> "StreamBatch":
-        """XOR a boolean per-bit fault mask into the payload.
-
-        The mask lives in the bit domain (shape ``batch + (length,)``, as
-        sampled by the fault model); it is packed once and applied as a
-        word-domain XOR, so the stream data itself never unpacks.
-        """
-        return self ^ StreamBatch.from_bool(mask, self.backend)
-
-    def flip_at(self, flat_sites: np.ndarray) -> "StreamBatch":
-        """XOR-flip individual bits addressed by flat bit-domain indices.
-
-        ``flat_sites`` indexes the C-order bit view ``batch_shape +
-        (length,)`` (site ``i`` is bit ``i % length`` of batch element
-        ``i // length``).  Duplicate sites cancel pairwise — XOR semantics,
-        matching :meth:`flip` of a mask with those bits set.  This is the
-        sparse fault path: the engine draws the flip *count* from a
-        Binomial and scatters that many sites straight into the payload,
-        instead of materialising a full ``shape``-sized Bernoulli mask.
-        """
-        sites = np.asarray(flat_sites, dtype=np.int64).reshape(-1)
-        if sites.size == 0:
-            return self
-        n_sites = int(np.prod(self.shape))
-        if sites.min() < 0 or sites.max() >= n_sites:
-            raise IndexError(
-                f"flip sites must lie in [0, {n_sites}) for shape "
-                f"{self.shape}")
-        return StreamBatch(
-            self.backend.scatter_flip(self.data, sites, self.length),
-            self.length, self.backend)
-
-    # ------------------------------------------------------------------
-    # Readout
-    # ------------------------------------------------------------------
-    def popcount(self) -> np.ndarray:
-        return self.backend.popcount(self.data, self.length)
-
-    def value(self) -> np.ndarray:
-        return self.backend.mean(self.data, self.length)
-
-    def scc(self, other: "StreamBatch") -> np.ndarray:
-        """Pairwise stochastic cross-correlation, element-wise over the batch.
-
-        Delegates to :func:`repro.core.correlation.scc`, which itself runs on
-        backend-routed AND + popcount — no unpacking under any backend.
-        """
-        from .correlation import scc as _scc
-        self._coerce(other)
-        return _scc(self.to_bitstream(), other.to_bitstream())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"StreamBatch(batch={self.batch_shape}, N={self.length}, "
-                f"backend={self.backend.name!r})")
+StreamBatch = Bitstream

@@ -28,15 +28,15 @@ unchanged.
 
 Execution domains and the seeding contract
 ------------------------------------------
-All stream state flows through :class:`~repro.core.streambatch.StreamBatch`
+All stream state flows through :class:`~repro.core.bitstream.Bitstream`
 payloads in the active backend's layout, so under the ``packed`` backend
 the whole engine — generation, logic ops, fault injection, the CORDIV
 scan — runs on uint64 words without ever unpacking (the analog S-to-B
 model joins them under ``cell_model='column'``; the per-bit cell model is
 the one deliberate exception, sampling per-cell conductances in the bit
-domain as the conformance oracle).  :meth:`InMemorySCEngine.to_binary`
-accepts :class:`~repro.core.streambatch.StreamBatch` payloads natively, so
-batched pipelines read out without a ``Bitstream`` round-trip.
+domain as the conformance oracle).  Batched pipelines slice operand
+stacks with :meth:`~repro.core.bitstream.Bitstream.select` and read out
+through :meth:`InMemorySCEngine.to_binary` straight from the payload.
 
 ``fault_domain`` selects how faults are *applied*:
 
@@ -57,7 +57,7 @@ batched pipelines read out without a ``Bitstream`` round-trip.
   releases and identical between ``fault_domain='word'`` and ``'bit'``.
 * ``'sparse'`` — each flip site draws its flip *count* from
   ``Binomial(n_sites, p)`` and scatters that many uniformly chosen site
-  indices straight into the payload (:meth:`StreamBatch.flip_at` — bit
+  indices straight into the payload (:meth:`Bitstream.flip_at` — bit
   index → (word, bit) shifts, no full-size uniform array, no unpack).
   The per-site flip probability and the mean/variance of the flip count
   are exactly those of the dense Bernoulli model, so faulty statistics
@@ -93,7 +93,6 @@ import numpy as np
 
 from ..core.bitstream import Bitstream
 from ..core.encoding import quantize
-from ..core.streambatch import StreamBatch
 from ..core import ops as scops
 from ..energy.model import EnergyLedger
 from ..energy.params import DEFAULT_RERAM_COSTS, ReRamStepCosts
@@ -207,17 +206,17 @@ class InMemorySCEngine:
         mask = (self._gen.random(bits.shape) < p).astype(np.uint8)
         return bits ^ mask
 
-    def _flip_batch(self, sb: StreamBatch, gate: str) -> StreamBatch:
+    def _flip_batch(self, stream: Bitstream, gate: str) -> Bitstream:
         """Word-domain flip: dense masks draw the oracle's full-shape
         uniform array; sparse sampling scatters a Binomial flip count."""
         p = self._rate(gate)
         if p <= 0.0:
-            return sb
+            return stream
         if self.fault_sampling == "sparse":
-            return self._flip_sparse(sb, p)
-        return sb.flip(self._gen.random(sb.shape) < p)
+            return self._flip_sparse(stream, p)
+        return stream.flip(self._gen.random(stream.shape) < p)
 
-    def _flip_sparse(self, sb: StreamBatch, p: float) -> StreamBatch:
+    def _flip_sparse(self, stream: Bitstream, p: float) -> Bitstream:
         """Sparse flip: Binomial count + uniformly chosen distinct sites.
 
         Statistically identical to per-site Bernoulli flips (the site count
@@ -226,11 +225,11 @@ class InMemorySCEngine:
         exactly ``n p (1-p)``), but the cost scales with the *expected
         number of flips* instead of the number of sites.
         """
-        n_sites = int(np.prod(sb.shape))
+        n_sites = int(np.prod(stream.shape))
         k = int(self._gen.binomial(n_sites, p))
         if k == 0:
-            return sb
-        return sb.flip_at(self._flip_sites(n_sites, k))
+            return stream
+        return stream.flip_at(self._flip_sites(n_sites, k))
 
     @staticmethod
     def _dedupe(sites: np.ndarray) -> np.ndarray:
@@ -310,7 +309,7 @@ class InMemorySCEngine:
         return gt
 
     def _gt_scan_words(self, codes: np.ndarray, rn_planes: np.ndarray,
-                       length: int) -> StreamBatch:
+                       length: int) -> Bitstream:
         """Word-domain faulty scan: identical draws, word-level traffic.
 
         Operand planes enter as per-element constant streams (one payload
@@ -319,15 +318,17 @@ class InMemorySCEngine:
         the oracle does, so outputs are bit-identical for the same seed.
         """
         batch = codes.shape
-        flag = StreamBatch.ones(batch, length)
-        gt = StreamBatch.zeros(batch, length)
+        flag = Bitstream.ones(batch + (length,))
+        gt = Bitstream.zeros(batch + (length,))
         backend = gt.backend
         naive = self.mode == "naive"
         m = self.segment_bits
         for i in range(m):
-            a_i = StreamBatch.constant((codes >> (m - 1 - i)) & 1, length,
-                                       backend)
-            rn_i = StreamBatch.from_bits(rn_planes[i], backend)
+            a_i = Bitstream.constant((codes >> (m - 1 - i)) & 1, length,
+                                     backend)
+            rn_i = Bitstream._from_payload(
+                backend.pack(np.ascontiguousarray(rn_planes[i])), length,
+                backend)
             diff = self._flip_batch(self._broadcast(a_i ^ rn_i, batch), "xor")
             term = self._flip_batch(a_i & diff, "and")
             if naive:
@@ -340,16 +341,17 @@ class InMemorySCEngine:
         return gt
 
     @staticmethod
-    def _broadcast(sb: StreamBatch, batch: Tuple[int, ...]) -> StreamBatch:
+    def _broadcast(stream: Bitstream, batch: Tuple[int, ...]) -> Bitstream:
         """Materialise a batch-broadcast payload (needed before fancy ops)."""
-        if sb.batch_shape == batch:
-            return sb
-        data = np.broadcast_to(sb.data, batch + sb.data.shape[-1:])
-        return StreamBatch(np.ascontiguousarray(data), sb.length, sb.backend)
+        if stream.batch_shape == batch:
+            return stream
+        data = np.broadcast_to(stream._data, batch + stream._data.shape[-1:])
+        return Bitstream._from_payload(np.ascontiguousarray(data),
+                                       stream.length, stream.backend)
 
     def _sbs_from_planes(self, codes: np.ndarray, rn_planes: np.ndarray,
-                         length: int) -> np.ndarray:
-        """Stream payload (as a Bitstream) for quantised codes vs RN planes.
+                         length: int) -> Bitstream:
+        """Stream payload for quantised codes vs RN planes.
 
         Fault-free word-domain runs collapse the MSB-first greater-than scan
         into one vectorised ``X > RN`` comparison (bit-identical, no extra
@@ -360,7 +362,7 @@ class InMemorySCEngine:
         """
         if self.fault_rates is None and self.fault_domain == "word":
             rn = self._rn_integers(rn_planes)
-            return StreamBatch.compare(codes, rn).to_bitstream()
+            return Bitstream.compare(codes, rn)
         if self.fault_domain == "bit":
             a = self._operand_planes(codes, length)
             full = np.broadcast_to(
@@ -368,7 +370,7 @@ class InMemorySCEngine:
                 (self.segment_bits,) + codes.shape + (length,))
             bits = self._gt_scan_bits(a, np.ascontiguousarray(full))
             return Bitstream(bits)
-        return self._gt_scan_words(codes, rn_planes, length).to_bitstream()
+        return self._gt_scan_words(codes, rn_planes, length)
 
     # ------------------------------------------------------------------
     # SNG interface
@@ -443,8 +445,7 @@ class InMemorySCEngine:
         if self.fault_domain == "bit":
             return Bitstream(self._flip(out.bits, gate),
                              backend=streams[0].backend)
-        return self._flip_batch(StreamBatch.from_bitstream(out),
-                                gate).to_bitstream()
+        return self._flip_batch(out, gate)
 
     def multiply(self, x: Bitstream, y: Bitstream) -> Bitstream:
         if self.fault_rates is None:
@@ -559,18 +560,16 @@ class InMemorySCEngine:
                         p_read: float) -> Tuple[Bitstream, Bitstream]:
         """Apply the sequential dividers' per-cycle read flips in the word
         domain, honouring the configured sampling mode."""
-        sx = StreamBatch.from_bitstream(x)
-        sy = StreamBatch.from_bitstream(y)
         if self.fault_sampling == "sparse":
-            return (self._flip_sparse(sx, p_read).to_bitstream(),
-                    self._flip_sparse(sy, p_read).to_bitstream())
+            return (self._flip_sparse(x, p_read),
+                    self._flip_sparse(y, p_read))
         bshape = x.batch_shape
         mx = np.empty(bshape + (x.length,), dtype=bool)
         my = np.empty(bshape + (x.length,), dtype=bool)
         for i in range(x.length):
             mx[..., i] = self._gen.random(bshape) < p_read
             my[..., i] = self._gen.random(bshape) < p_read
-        return sx.flip(mx).to_bitstream(), sy.flip(my).to_bitstream()
+        return x.flip(mx), y.flip(my)
 
     def maj(self, x: Bitstream, y: Bitstream, z: Bitstream) -> Bitstream:
         if self.fault_rates is None:
@@ -596,12 +595,9 @@ class InMemorySCEngine:
             t2 = self._flip((1 - sel.bits) & a.bits, "and")
             out = Bitstream(self._flip(t1 | t2, "or"), backend=a.backend)
         else:
-            ss = StreamBatch.from_bitstream(sel)
-            sa = StreamBatch.from_bitstream(a)
-            sb = StreamBatch.from_bitstream(b)
-            t1 = self._flip_batch(ss & sb, "and")
-            t2 = self._flip_batch(~ss & sa, "and")
-            out = self._flip_batch(t1 | t2, "or").to_bitstream()
+            t1 = self._flip_batch(sel & b, "and")
+            t2 = self._flip_batch(~sel & a, "and")
+            out = self._flip_batch(t1 | t2, "or")
         batch = self._unary_batch(a)
         self._book_op("mux2", a.length, batch)
         return out
@@ -624,12 +620,10 @@ class InMemorySCEngine:
     # ------------------------------------------------------------------
     # S-to-B
     # ------------------------------------------------------------------
-    def to_binary(self, stream: Union[Bitstream, StreamBatch]) -> np.ndarray:
+    def to_binary(self, stream: Bitstream) -> np.ndarray:
         """In-memory S-to-B: reference column + ADC (or ideal popcount).
 
-        Accepts a ``Bitstream`` or a ``StreamBatch`` natively, so batched
-        pipelines read out straight from the payload container.  Under
-        ``cell_model='column'`` (and under ``ideal_stob``) only the
+        Under ``cell_model='column'`` (and under ``ideal_stob``) only the
         backend-routed popcount touches the stream data — packed payloads
         never unpack.
         """
@@ -640,7 +634,7 @@ class InMemorySCEngine:
         return self._stob.convert(stream)
 
     # Alias so the engine satisfies the converter protocol of ScFlow.
-    def convert(self, stream: Union[Bitstream, StreamBatch]) -> np.ndarray:
+    def convert(self, stream: Bitstream) -> np.ndarray:
         return self.to_binary(stream)
 
     def reset_ledger(self) -> None:

@@ -46,15 +46,12 @@ from typing import Dict, Tuple, Union
 import numpy as np
 
 from ..core.bitstream import Bitstream
-from ..core.streambatch import StreamBatch
 from ..reram.adc import Adc, AdcParams, ISAAC_ADC
 from ..reram.device import DEFAULT_DEVICE, DeviceParams
 
 __all__ = ["InMemoryStoB", "CELL_MODELS"]
 
 CELL_MODELS = ("per-bit", "column")
-
-StreamLike = Union[Bitstream, StreamBatch]
 
 
 class InMemoryStoB:
@@ -143,7 +140,7 @@ class InMemoryStoB:
     # ------------------------------------------------------------------
     # Currents
     # ------------------------------------------------------------------
-    def column_current(self, stream: StreamLike) -> np.ndarray:
+    def column_current(self, stream: Bitstream) -> np.ndarray:
         """Accumulated reference-column current per stream (amperes).
 
         This is the per-bit oracle path (plus the noiseless ``ideal_cells``
@@ -181,13 +178,12 @@ class InMemoryStoB:
         shape = np.shape(popcount)
         return current.reshape(shape) if shape else current[0]
 
-    def convert(self, stream: StreamLike) -> np.ndarray:
+    def convert(self, stream: Bitstream) -> np.ndarray:
         """Recovered probabilities in ``[0, 1]`` (one per stream).
 
-        Accepts a :class:`~repro.core.bitstream.Bitstream` or a
-        :class:`~repro.core.streambatch.StreamBatch`; under
-        ``cell_model='column'`` (or ``ideal_cells``) only the backend-routed
-        popcount touches the payload, so packed batches never unpack.
+        Under ``cell_model='column'`` (or ``ideal_cells``) only the
+        backend-routed popcount touches the payload, so packed batches
+        never unpack.
         """
         adc = self._adc_for(stream.length)
         if self.cell_model == "column" and not self.ideal_cells:

@@ -10,6 +10,8 @@ This file doubles as the conformance suite for new backends: register a
 third backend and add its name to ``BACKENDS`` to get full coverage.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,10 @@ from repro.core.bitstream import Bitstream
 from repro.core.correlation import correlation_matrix, overlap_probability, scc
 from repro.core.sng import ComparatorSng, IdealBitSource, SegmentSng, unary_stream
 from repro.core.rng import Lfsr, SoftwareRng
-from repro.core.streambatch import StreamBatch
 from repro.apps import run_app
 from repro.config import RunConfig
 from repro.imsc.engine import InMemorySCEngine
-from repro.reram.faults import GateFaultRates
+from repro.reram.faults import DEFAULT_FAULT_RATES, GateFaultRates
 
 BACKENDS = ("unpacked", "packed")
 LENGTHS = (1, 7, 64, 127, 1000)
@@ -102,7 +103,7 @@ class TestRoundTrip:
         bs = _streams(bits, name)
         expect = bits.sum(axis=-1, dtype=np.int64)
         np.testing.assert_array_equal(bs.popcount(), expect)
-        np.testing.assert_allclose(bs.to_value(), expect / length)
+        np.testing.assert_allclose(bs.value(), expect / length)
         np.testing.assert_allclose(bs.bipolar_value(), 2 * expect / length - 1)
 
 
@@ -273,7 +274,7 @@ def test_packed_canonical_tail_stays_zero():
 
 
 # ----------------------------------------------------------------------
-# StreamBatch: payload-level batch container
+# Batched Bitstream ops: payload select, flip, constant, compare
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", BACKENDS)
 @pytest.mark.parametrize("length", (7, 64, 127))
@@ -282,10 +283,15 @@ class TestStreamBatch:
         rng = np.random.default_rng(41)
         xb = _rand_bits(rng, (3, 5), length)
         yb = _rand_bits(rng, (3, 5), length)
-        sx = StreamBatch.from_bits(xb, name)
-        sy = StreamBatch.from_bits(yb, name)
+        sx = Bitstream(xb, backend=name)
+        sy = Bitstream(yb, backend=name)
         np.testing.assert_array_equal(sx.select(1).bits, xb[1])
-        np.testing.assert_array_equal(sx[2].select(0).bits, xb[2][0])
+        np.testing.assert_array_equal(sx.select(2).select(0).bits, xb[2][0])
+        np.testing.assert_array_equal(sx.select((slice(1, 3), 4)).bits,
+                                      xb[1:3, 4])
+        assert sx.select(1).backend is sx.backend
+        with pytest.raises(IndexError, match="storage axis"):
+            sx.select((0, 0, 0))
         np.testing.assert_array_equal((sx & sy).bits, xb & yb)
         np.testing.assert_array_equal((sx | sy).bits, xb | yb)
         np.testing.assert_array_equal((sx ^ sy).bits, xb ^ yb)
@@ -293,44 +299,24 @@ class TestStreamBatch:
         np.testing.assert_array_equal(sx.popcount(),
                                       xb.sum(axis=-1, dtype=np.int64))
         np.testing.assert_array_equal(
-            StreamBatch.maj(sx, sy, ~sx).bits,
+            Bitstream.maj(sx, sy, ~sx).bits,
             (xb & yb) | (xb & (1 - xb)) | (yb & (1 - xb)))
-
-    def test_roundtrip_bitstream_zero_copy(self, name, length):
-        rng = np.random.default_rng(42)
-        xb = _rand_bits(rng, (4,), length)
-        with use_backend(name):
-            bs = Bitstream(xb)
-        sb = StreamBatch.from_bitstream(bs)
-        assert sb.data is bs._data
-        back = sb.to_bitstream()
-        assert back._data is sb.data
-        assert back == bs
 
     def test_flip_constant_compare(self, name, length):
         rng = np.random.default_rng(43)
         xb = _rand_bits(rng, (6,), length)
         mask = rng.random((6, length)) < 0.3
-        got = StreamBatch.from_bits(xb, name).flip(mask)
+        got = Bitstream(xb, backend=name).flip(mask)
         np.testing.assert_array_equal(got.bits, xb ^ mask.astype(np.uint8))
-        const = StreamBatch.constant(np.array([0, 1, 1, 0]), length, name)
+        const = Bitstream.constant(np.array([0, 1, 1, 0]), length, name)
         np.testing.assert_array_equal(
             const.bits, np.array([0, 1, 1, 0], np.uint8)[:, None]
             * np.ones(length, np.uint8))
         codes = rng.integers(0, 256, size=(5,))
         rn = rng.integers(0, 256, size=(length,))
-        cmp_ = StreamBatch.compare(codes, rn, name)
+        cmp_ = Bitstream.compare(codes, rn, name)
         np.testing.assert_array_equal(
             cmp_.bits, (codes[:, None] > rn[None, :]).astype(np.uint8))
-
-    def test_scc_matches_bitstream_metric(self, name, length):
-        rng = np.random.default_rng(44)
-        xb = _rand_bits(rng, (4,), length)
-        yb = _rand_bits(rng, (4,), length)
-        got = StreamBatch.from_bits(xb, name).scc(
-            StreamBatch.from_bits(yb, name))
-        want = scc(Bitstream(xb, backend=name), Bitstream(yb, backend=name))
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +519,7 @@ class TestRunAppSharding:
 # ----------------------------------------------------------------------
 # Filter kernels: golden values, backend equivalence, sharding, no-unpack
 # ----------------------------------------------------------------------
-from repro.apps.executor import run_tiled  # noqa: E402
+from repro.apps.executor import KERNELS, run_tiled  # noqa: E402
 from repro.apps.filters import (  # noqa: E402
     contrast_stretch_float,
     contrast_stretch_inputs,
@@ -551,9 +537,9 @@ from repro.apps.filters import (  # noqa: E402
 from repro.apps.images import natural_scene  # noqa: E402
 
 # Seeded MSE(%) vs the float reference of each filter (natural_scene 12x12
-# seed 21, N=128, engine rng=7, per-bit S-to-B), recorded at the StreamBatch
-# rewrite.  Identical under every backend; any drift means the stream bits
-# (or the S-to-B draws) changed.
+# seed 21, N=128, engine rng=7, per-bit S-to-B), recorded at the batched
+# word-domain kernel rewrite.  Identical under every backend; any drift
+# means the stream bits (or the S-to-B draws) changed.
 PINNED_FILTER_MSE = {
     "roberts_cross": 0.07985303397144504,
     "mean_filter": 0.061745319601497414,
@@ -603,20 +589,33 @@ class TestFilterKernels:
         assert led3.energy_j == pytest.approx(led1.energy_j)
         assert led3.latency_s == pytest.approx(led1.latency_s)
 
-    def test_no_unpack_on_packed_filters(self, monkeypatch):
-        """The rewritten filter kernels must stay in the word domain.
 
-        The earlier implementation re-wrapped ``Bitstream(streams.bits[k])``,
-        forcing an unpack per operand role; with payload slicing plus the
-        column S-to-B model the whole filter datapath (including the
-        Bernstein select network) runs packed.
-        """
-        def boom(self, data, length):
-            raise AssertionError("silent unpack on a packed filter path")
+# ----------------------------------------------------------------------
+# Every registered kernel stays in the word domain
+# ----------------------------------------------------------------------
+def _kernel_inputs(kernel, rng):
+    """Random 8x8 operand planes for every array parameter of a kernel."""
+    params = inspect.signature(KERNELS[kernel]).parameters.values()
+    return {p.name: rng.random((8, 8)) for p in params
+            if p.default is p.empty and p.name not in ("engine", "length")}
 
-        monkeypatch.setattr(PackedBackend, "unpack", boom)
-        image = natural_scene(8, 8, np.random.default_rng(2))
-        with use_backend("packed"):
-            for filt, (sc_fn, _) in _FILTER_FNS.items():
-                eng = InMemorySCEngine(rng=1, cell_model="column")
-                sc_fn(eng, image, 64)
+
+@pytest.mark.parametrize("faults", ("fault-free", "sparse-faults"))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_no_unpack_on_packed_kernels(kernel, faults, monkeypatch):
+    """Operand stacks split with ``Bitstream.select`` (a payload slice), the
+    sparse fault scatter and the column S-to-B readout never unpack: a
+    packed tiled run completes with ``PackedBackend.unpack`` disabled."""
+    def boom(self, data, length):
+        raise AssertionError(f"silent unpack on the packed {kernel} path")
+
+    engine_kwargs = {"cell_model": "column"}
+    if faults == "sparse-faults":
+        engine_kwargs.update(fault_rates=DEFAULT_FAULT_RATES,
+                             fault_sampling="sparse")
+    inputs = _kernel_inputs(kernel, np.random.default_rng(2))
+    monkeypatch.setattr(PackedBackend, "unpack", boom)
+    with use_backend("packed"):
+        out, _ = run_tiled(kernel, inputs, 64, tile=4, jobs=1, seed=1,
+                           engine_kwargs=engine_kwargs)
+    assert out.shape == (8, 8)

@@ -30,7 +30,7 @@ from repro.apps.filters import (
 )
 from repro.apps.images import natural_scene
 from repro.core.backend import PackedBackend, use_backend
-from repro.core.streambatch import StreamBatch
+from repro.core.bitstream import Bitstream
 from repro.imsc.engine import EngineFactory, InMemorySCEngine
 from repro.reram.faults import DEFAULT_FAULT_RATES, GateFaultRates
 
@@ -40,7 +40,7 @@ BATCH_SHAPES = ((), (3,), (2, 5))
 
 
 # ----------------------------------------------------------------------
-# StreamBatch.flip_at / backend scatter_flip
+# Bitstream.flip_at / backend scatter_flip
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", BACKENDS)
 @pytest.mark.parametrize("length", LENGTHS)
@@ -49,7 +49,7 @@ class TestFlipAt:
     def test_matches_dense_mask(self, name, length, batch):
         rng = np.random.default_rng(31)
         bits = rng.integers(0, 2, size=batch + (length,), dtype=np.uint8)
-        sb = StreamBatch.from_bits(bits, name)
+        sb = Bitstream(bits, backend=name)
         n = int(np.prod(sb.shape))
         sites = rng.choice(n, size=min(n, 17), replace=False)
         mask = np.zeros(n, dtype=np.uint8)
@@ -62,7 +62,7 @@ class TestFlipAt:
     def test_duplicates_cancel(self, name, length, batch):
         rng = np.random.default_rng(32)
         bits = rng.integers(0, 2, size=batch + (length,), dtype=np.uint8)
-        sb = StreamBatch.from_bits(bits, name)
+        sb = Bitstream(bits, backend=name)
         n = int(np.prod(sb.shape))
         sites = rng.integers(0, n, size=9)
         twice = np.concatenate([sites, sites])
@@ -70,7 +70,7 @@ class TestFlipAt:
 
     def test_empty_and_bounds(self, name, length, batch):
         bits = np.zeros(batch + (length,), dtype=np.uint8)
-        sb = StreamBatch.from_bits(bits, name)
+        sb = Bitstream(bits, backend=name)
         assert sb.flip_at(np.empty(0, dtype=np.int64)) is sb
         n = int(np.prod(sb.shape))
         with pytest.raises(IndexError, match="flip sites"):
@@ -81,11 +81,11 @@ class TestFlipAt:
 
 def test_packed_flip_at_keeps_canonical_tail():
     """Scattered flips near the stream end must not touch tail-word bits."""
-    sb = StreamBatch.zeros((2,), 70, "packed")
+    sb = Bitstream.zeros((2, 70), "packed")
     flipped = sb.flip_at(np.array([69, 70 + 69]))  # last valid bit per row
     np.testing.assert_array_equal(flipped.popcount(), [1, 1])
     # NOT-ing twice exposes any tail contamination as extra popcount.
-    assert int((~(~flipped.to_bitstream())).popcount().sum()) == 2
+    assert int((~(~flipped)).popcount().sum()) == 2
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +126,7 @@ class TestFlipRateConformance:
         for mode in ("dense", "sparse"):
             eng = InMemorySCEngine(fault_rates=rates, rng=11,
                                    fault_sampling=mode)
-            zero = StreamBatch.zeros(batch, length)
+            zero = Bitstream.zeros(batch + (length,))
             counts = np.array([
                 int(eng._flip_batch(zero, "and").popcount().sum())
                 for _ in range(trials)], dtype=np.float64)
@@ -144,7 +144,7 @@ class TestFlipRateConformance:
         rates = GateFaultRates(and2=p, or2=p, xor2=p, maj3=p, read=p)
         eng = InMemorySCEngine(fault_rates=rates, rng=13,
                                fault_sampling="sparse")
-        zero = StreamBatch.zeros((32,), 4096)
+        zero = Bitstream.zeros((32, 4096))
         per_stream = sum(eng._flip_batch(zero, "and").popcount()
                          for _ in range(10))
         assert int(np.count_nonzero(per_stream)) == 32
@@ -163,7 +163,7 @@ class TestFlipRateConformance:
             y = np.full(256, 0.75)
             sx, sy = eng.generate_pair(x, y, 512, correlated=True)
             fn = eng.divide if divider == "cordiv" else eng.divide_jk
-            vals[mode] = float(np.mean(fn(sx, sy).to_value()))
+            vals[mode] = float(np.mean(fn(sx, sy).value()))
         assert vals["sparse"] == pytest.approx(vals["dense"], abs=0.02)
 
 
@@ -193,7 +193,7 @@ class TestDivideJk:
         eng = InMemorySCEngine(rng=29, ideal_stob=True)
         j = eng.generate(np.full(128, 0.2), 2048)
         k = eng.generate(np.full(128, 0.3), 2048)
-        got = float(np.mean(eng.divide_jk(j, k).to_value()))
+        got = float(np.mean(eng.divide_jk(j, k).value()))
         assert got == pytest.approx(0.4, abs=0.03)  # j / (j + k)
 
 

@@ -229,10 +229,8 @@ class TestStoB:
         assert np.allclose(out, s.value(), atol=0.08)
 
     def test_column_model_accepts_streambatch(self):
-        from repro.core.streambatch import StreamBatch
-
         bits = np.random.default_rng(2).integers(0, 2, (6, 128), np.uint8)
-        sb = StreamBatch.from_bits(bits, "packed")
+        sb = Bitstream(bits, backend="packed")
         vals = InMemoryStoB(rng=3, cell_model="column").convert(sb)
         assert vals.shape == (6,)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -264,11 +262,8 @@ class TestStoB:
         assert np.allclose(out, 0.3, atol=0.1)
 
     def test_engine_to_binary_accepts_streambatch(self):
-        from repro.core.streambatch import StreamBatch
-
         e = InMemorySCEngine(rng=12, cell_model="column")
-        sb = StreamBatch.from_bitstream(
-            e.generate_correlated(np.full((2, 15), 0.4), 256))
+        sb = e.generate_correlated(np.full((2, 15), 0.4), 256)
         out = e.to_binary(sb)
         assert out.shape == (2, 15)
         assert np.allclose(out, 0.4, atol=0.1)

@@ -14,7 +14,7 @@ that ride with it:
   engine once per distinct engine-kwargs combination (and never caches
   failures);
 * the sparse fault scatter short-circuits a zero-site draw at every
-  layer (engine, ``StreamBatch.flip_at``, backend ``scatter_flip``)
+  layer (engine, ``Bitstream.flip_at``, backend ``scatter_flip``)
   without touching the payload.
 """
 
@@ -35,7 +35,7 @@ from repro.apps.executor import KERNELS, run_tiled
 from repro.apps.filters import gamma_correct_inputs
 from repro.apps.images import natural_scene
 from repro.core.backend import get_backend, use_backend
-from repro.core.streambatch import StreamBatch
+from repro.core.bitstream import Bitstream
 from repro.imsc.engine import InMemorySCEngine
 from repro.serve import SceneStore, Scheduler, ServingClient, WorkerPool
 from repro.serve.transport import SCENE_PREFIX, fetch_tile, scene_digest
@@ -439,11 +439,10 @@ class TestZeroFlipShortCircuit:
             self, backend):
         with use_backend(backend):
             rng = np.random.default_rng(0)
-            sb = StreamBatch.from_bits(
-                (rng.random((2, 3, 70)) < 0.5).astype(np.uint8))
+            sb = Bitstream((rng.random((2, 3, 70)) < 0.5).astype(np.uint8))
             empty = np.empty(0, dtype=np.int64)
-            out = sb.backend.scatter_flip(sb.data, empty, sb.length)
-            assert out is sb.data   # no copy, no round-trip
+            out = sb.backend.scatter_flip(sb._data, empty, sb.length)
+            assert out is sb._data   # no copy, no round-trip
             assert sb.flip_at(empty) is sb
 
     @pytest.mark.parametrize("backend", ("unpacked", "packed"))
@@ -452,9 +451,8 @@ class TestZeroFlipShortCircuit:
         with use_backend(backend):
             eng = InMemorySCEngine(fault_sampling="sparse", rng=7)
             rng = np.random.default_rng(1)
-            sb = StreamBatch.from_bits(
-                (rng.random((2, 4, 64)) < 0.5).astype(np.uint8))
-            before = np.array(sb.data, copy=True)
+            sb = Bitstream((rng.random((2, 4, 64)) < 0.5).astype(np.uint8))
+            before = np.array(sb._data, copy=True)
 
             def boom(*args, **kwargs):
                 raise AssertionError("scatter_flip must not run for k=0")
@@ -462,4 +460,4 @@ class TestZeroFlipShortCircuit:
             monkeypatch.setattr(type(sb.backend), "scatter_flip", boom)
             out = eng._flip_sparse(sb, 0.0)   # Binomial(n, 0) == 0
             assert out is sb
-            np.testing.assert_array_equal(out.data, before)
+            np.testing.assert_array_equal(out._data, before)

@@ -44,7 +44,7 @@ A call site resolves when its callee is
 
 Anything else (attribute calls on untyped values — ``engine.maj(...)``
 where ``engine`` is a parameter) stays deliberately unresolved: the
-engine/StreamBatch layer keeps its own runtime asserts, and guessing
+engine/Bitstream layer keeps its own runtime asserts, and guessing
 attribute types would drown the rules in false edges.
 """
 

@@ -34,10 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="files/directories to lint (default: the "
                              "repo's Python roots: "
                              + ", ".join(engine.DEFAULT_ROOTS) + ")")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text",
-                        help="output format; 'sarif' emits a SARIF 2.1.0 "
-                             "log for code-scanning UIs")
+    parser.add_argument("--format", choices=("text", "json"),
+                        default="text", help="output format")
     parser.add_argument("--explain", metavar="CODE", action="append",
                         default=[],
                         help="print the catalogue entry for a rule code "
@@ -192,9 +190,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "suppressed": len(result.suppressed),
             "baselined": len(result.baselined),
         }, indent=2))
-    elif args.format == "sarif":
-        from .sarif import to_sarif
-        print(json.dumps(to_sarif(findings), indent=2))
     else:
         for f in findings:
             print(f.render())

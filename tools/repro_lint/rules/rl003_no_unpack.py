@@ -20,15 +20,13 @@ heuristic:
   calls to decorated functions;
 * attribute calls on *untyped* values (``engine.maj(...)``,
   ``batch.select(...)`` where the receiver is a parameter) are still not
-  followed — the engine/StreamBatch layer keeps its own runtime
+  followed — the engine/Bitstream layer keeps its own runtime
   no-unpack asserts, and guessing receiver types would drown the rule in
   false edges.
 
 Inside the reachable set the rule flags the bit-expansion markers:
-``.to_bits()``, ``.to_bitstream()`` (flagged so every use is *audited*:
-the StreamBatch payload wrap is zero-copy, and each call site must say so
-with a justified suppression), ``np.unpackbits`` and per-bit Python
-loops over the stream length.
+``.to_bits()``, ``np.unpackbits`` and per-bit Python loops over the
+stream length.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from ..callgraph import FuncKey
 from ..engine import Finding, Project, Rule, register
 
 _EXECUTOR = "src/repro/apps/executor.py"
-_UNPACK_ATTRS = frozenset({"to_bits", "to_bitstream"})
+_UNPACK_ATTRS = frozenset({"to_bits"})
 _LOOP_NAMES = frozenset({"length", "n_bits", "nbits"})
 
 
@@ -77,9 +75,8 @@ def _scan_markers(relpath: str, func: ast.AST,
                 yield Finding(
                     relpath, node.lineno, "RL003",
                     f".{f.attr}() on the hot path (reachable from "
-                    f"registered kernel {witness!r}): must be zero-copy "
-                    f"word-domain interop — audit and suppress with a "
-                    f"justification, or stay in the word domain")
+                    f"registered kernel {witness!r}): expands the packed "
+                    f"payload — stay in the word domain")
             elif ((isinstance(f, ast.Attribute) and f.attr == "unpackbits")
                     or (isinstance(f, ast.Name)
                         and f.id == "unpackbits")):
@@ -126,10 +123,7 @@ Walks the shared module-resolving call graph (Project.call_graph(), see
 repro_lint/callgraph.py) from the functions registered in
 apps/executor.KERNELS and flags, anywhere in the reachable set:
 
-* `.to_bits()` / `.to_bitstream()` calls — to_bitstream *is* a zero-copy
-  payload wrap today, which is exactly why every call site must carry a
-  justified suppression: the audit trail is the point, and a future
-  packing change cannot silently ride an unaudited call;
+* `.to_bits()` calls;
 * `np.unpackbits(...)` — the definitional unpack;
 * `for ... in range(length)`-style per-bit Python loops.
 
@@ -138,5 +132,5 @@ imports, `module.helper(...)` calls on imported modules, re-exports
 through `__init__.py`, `self.helper(...)` methods and decorated
 functions — not just same-name top-level calls.  Attribute calls on
 untyped receivers (`engine.maj(...)`) are still not followed; the
-engine/StreamBatch layer keeps its runtime no-unpack asserts.""",
+engine/Bitstream layer keeps its runtime no-unpack asserts.""",
     project_check=_check))
