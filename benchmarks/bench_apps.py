@@ -30,9 +30,7 @@ import time
 from repro.apps import run_app
 from repro.config import RunConfig
 from repro.core.backend import use_backend
-from repro.report import write_bench_record
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from records import write_bench_record
 
 APPS = ("compositing", "interpolation", "matting")
 
@@ -142,7 +140,7 @@ def main() -> int:
     result = compare_apps(args.length, args.size, args.tile, args.jobs,
                           args.repeats, args.faulty, apps=tuple(args.apps))
     print(render(result))
-    path = ROOT / "BENCH_apps.json"
+    path = pathlib.Path.cwd() / "BENCH_apps.json"
     write_bench_record(path, "apps",
                        config={"length": args.length, "size": args.size,
                                "tile": args.tile, "jobs": args.jobs,

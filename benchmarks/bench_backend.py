@@ -27,9 +27,7 @@ from repro.config import RunConfig
 from repro.core import ops as scops
 from repro.core.backend import use_backend
 from repro.core.bitstream import Bitstream
-from repro.report import write_bench_record
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from records import write_bench_record
 
 FULL_LENGTH = 1 << 20          # >= 1e6 bits per stream
 FULL_BATCH = 1024
@@ -110,7 +108,7 @@ def main() -> int:
     args = parser.parse_args()
     result = compare_backends(args.length, args.batch, args.repeats)
     print(render(result))
-    path = ROOT / "BENCH_backend.json"
+    path = pathlib.Path.cwd() / "BENCH_backend.json"
     write_bench_record(path, "backend",
                        config={"length": args.length, "batch": args.batch,
                                "repeats": args.repeats},

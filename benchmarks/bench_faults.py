@@ -43,10 +43,8 @@ from repro.apps.executor import run_tiled
 from repro.apps.filters import contrast_stretch_inputs
 from repro.apps.images import natural_scene
 from repro.core.backend import use_backend
-from repro.report import write_bench_record
 from repro.reram.faults import DEFAULT_FAULT_RATES
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from records import write_bench_record
 
 FULL_LENGTH = 512
 FULL_SIZE = 48
@@ -147,7 +145,7 @@ def main() -> int:
     result = compare_fault_sampling(args.length, args.size, args.repeats,
                                     args.seed)
     print(render(result))
-    path = ROOT / "BENCH_faults.json"
+    path = pathlib.Path.cwd() / "BENCH_faults.json"
     write_bench_record(path, "faults",
                        config={"length": args.length, "size": args.size,
                                "repeats": args.repeats, "seed": args.seed,

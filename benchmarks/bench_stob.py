@@ -30,9 +30,7 @@ from repro.config import RunConfig
 from repro.core.backend import use_backend
 from repro.core.bitstream import Bitstream
 from repro.imsc.stob import CELL_MODELS, InMemoryStoB
-from repro.report import write_bench_record
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from records import write_bench_record
 
 FULL_STREAMS = 1 << 18
 FULL_LENGTH = 512
@@ -108,7 +106,7 @@ def main() -> int:
     args = parser.parse_args()
     result = compare_cell_models(args.streams, args.length, args.repeats)
     print(render(result))
-    path = ROOT / "BENCH_stob.json"
+    path = pathlib.Path.cwd() / "BENCH_stob.json"
     write_bench_record(path, "stob",
                        config={"streams": args.streams,
                                "length": args.length,

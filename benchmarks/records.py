@@ -1,15 +1,13 @@
 """Machine-readable benchmark records (``BENCH_*.json``).
 
-``benchmarks/run_report.py`` historically appended a one-shot text report
-(``reproduction_report.txt``) and nothing else — no machine-readable
-perf trajectory existed, so a re-anchor reading the repo could not tell
-whether a speedup guard had drifted.  Every ``bench_*.py`` guard and the
-load harness now also write one small JSON record per run at the repo
-root, all sharing schema version 1::
+Every ``bench_*.py`` ratio guard writes one small JSON record per run
+into the current working directory (``make bench`` runs them from the
+repo root, where the committed records live), all sharing schema
+version 1::
 
     {
       "schema": 1,                      # BENCH_SCHEMA_VERSION
-      "bench": "serve",                 # short [a-z0-9_]+ name
+      "bench": "backend",               # short [a-z0-9_]+ name
       "utc": "2026-08-07T12:34:56Z",    # write time, UTC
       "config": {...},                  # workload parameters (JSON scalars)
       "run_config": {...},              # resolved RunConfig.to_dict()
@@ -24,9 +22,13 @@ measured under (its headline configuration), so a trajectory reader can
 tell an oracle run from a fast-preset run; when present it must
 round-trip through :meth:`RunConfig.from_dict`.
 :func:`validate_bench_record` enforces all of this; ``run_report.py``
-validates every ``BENCH_*.json`` it finds after a run (and refuses two
+validates every ``BENCH_*.json`` its steps wrote (and refuses two
 records that report different resolved configs for the same benchmark
 name), and a tier-1 test pins the validator itself.
+
+The bench scripts import this module by name (``from records import
+...``): a script's own directory is first on ``sys.path``.  It must not
+match ``bench_*.py``, the collection pattern of ``benchmarks/pytest.ini``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import time
 from typing import Any, Dict, Union
 
 import numpy as np
+
+from repro.config import RunConfig
 
 __all__ = ["BENCH_SCHEMA_VERSION", "bench_record", "validate_bench_record",
            "write_bench_record", "load_bench_record"]
@@ -79,7 +83,6 @@ def bench_record(bench: str, config: Dict[str, Any],
         "schema": BENCH_SCHEMA_VERSION,
         "bench": bench,
         # benchmark-record timestamp: metadata only, never feeds results
-        # repro-lint: disable=RL001 -- BENCH_*.json provenance stamp; no computed value depends on it
         "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": _pyify(config),
         "results": _pyify(results),
@@ -124,7 +127,6 @@ def validate_bench_record(record: Any) -> Dict[str, Any]:
         if not isinstance(record["run_config"], dict):
             raise ValueError(f"run_config must be a JSON object, "
                              f"got {type(record['run_config']).__name__}")
-        from .config import RunConfig
         try:
             RunConfig.from_dict(record["run_config"])
         except (TypeError, ValueError) as exc:

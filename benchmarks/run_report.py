@@ -19,34 +19,39 @@ remain runnable via ``pytest benchmarks/ --benchmark-only -s``
 (``benchmarks/pytest.ini`` restores their collection).
 
 Besides the text report, every benchmark step writes a machine-readable
-``BENCH_*.json`` record at the repo root (see :mod:`repro.report`) —
-the perf trajectory re-anchors read.  After the steps finish the driver
-validates every ``BENCH_*.json`` it finds against the record schema and
-**fails loudly** on a malformed one, in quick and full mode alike.
+``BENCH_*.json`` record into its working directory (see
+``benchmarks/records.py``).  Full mode runs the steps from the repo root,
+so it refreshes the committed records; ``--quick`` runs them from a
+temporary directory, so a smoke run never overwrites them.  After the
+steps finish the driver validates every ``BENCH_*.json`` in that
+directory against the record schema and **fails loudly** on a malformed
+one, in quick and full mode alike.
 """
 
 import argparse
+import contextlib
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "benchmarks"
 REPORT = ROOT / "reproduction_report.txt"
 
-sys.path.insert(0, str(ROOT / "src"))   # repro.report, PYTHONPATH or not
+sys.path.insert(0, str(ROOT / "src"))   # records.py imports repro.config
 
-from repro.report import load_bench_record   # noqa: E402
+from records import load_bench_record   # noqa: E402
 
 
 def _steps(quick: bool):
     py = sys.executable
     if quick:
         # Same steps as the full run, shrunk to smoke size (flags
-        # mirror make bench-smoke / serve-smoke) — quick mode trades
-        # guard strength for speed, never coverage.
+        # mirror make bench-smoke) — quick mode trades guard strength
+        # for speed, never coverage.
         return [
             ("Tables and figures (quick reproduction)",
              [py, "-m", "repro", "all", "--samples", "1000", "--runs", "1",
@@ -64,14 +69,6 @@ def _steps(quick: bool):
             ("Fault-mask sampling (smoke)",
              [py, str(BENCH / "bench_faults.py"), "--length", "64",
               "--size", "16", "--repeats", "1", "--min-speedup", "2"]),
-            ("Serving layer (smoke)",
-             [py, str(BENCH / "bench_serve.py"), "--requests", "4",
-              "--size", "12", "--length", "32", "--jobs", "2",
-              "--min-speedup", "0"]),
-            ("Serving sustained load (smoke burst)",
-             [py, str(BENCH / "loadgen.py"), "--requests", "24",
-              "--jobs", "2", "--small", "8", "--big", "12",
-              "--length", "32"]),
         ]
     return [
         ("Tables and figures (CLI reproduction)",
@@ -85,10 +82,6 @@ def _steps(quick: bool):
          [py, str(BENCH / "bench_apps.py")]),
         ("Fault-mask sampling (sparse vs dense)",
          [py, str(BENCH / "bench_faults.py")]),
-        ("Serving layer (resident pool vs cold)",
-         [py, str(BENCH / "bench_serve.py")]),
-        ("Serving soak (>= 1000 requests, worker death injected)",
-         [py, str(BENCH / "loadgen.py"), "--soak"]),
     ]
 
 
@@ -96,25 +89,11 @@ def _banner(title: str) -> str:
     return "\n" + "=" * 72 + "\n" + title + "\n" + "=" * 72 + "\n"
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smoke-size workloads (seconds, relaxed "
-                             "guards) instead of acceptance scale")
-    parser.add_argument("--fresh", action="store_true",
-                        help="truncate reproduction_report.txt first "
-                             "(default: append)")
-    args = parser.parse_args()
-
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
-                         if env.get("PYTHONPATH") else src)
-
-    if args.fresh:
-        REPORT.write_text("")
+def _run_steps(steps, cwd: pathlib.Path, env: dict) -> list:
+    """Run each step from ``cwd``, teeing its output into the report;
+    returns the titles of the failed steps."""
     failures = []
-    for title, cmd in _steps(args.quick):
+    for title, cmd in steps:
         block = _banner(title)
         print(block, end="", flush=True)
         t0 = time.perf_counter()
@@ -123,7 +102,7 @@ def main() -> int:
         # report also keeps whatever a Ctrl-C'd step printed so far).
         with REPORT.open("a") as fh:
             fh.write(block)
-            proc = subprocess.Popen(cmd, cwd=ROOT, env=env, text=True,
+            proc = subprocess.Popen(cmd, cwd=cwd, env=env, text=True,
                                     stdout=subprocess.PIPE,
                                     stderr=subprocess.STDOUT)
             for line in proc.stdout:
@@ -137,14 +116,21 @@ def main() -> int:
             fh.write(tail)
         if rc != 0:
             failures.append(title)
+    return failures
 
-    # Machine-readable trajectory: every BENCH_*.json at the root must be
-    # schema-valid — a malformed record poisons every future re-anchor
-    # that reads the trajectory, so it fails the whole run.  Two records
-    # reporting different resolved run configs under the same benchmark
-    # name would make speedups incomparable across the trajectory, so
-    # that fails the run too.
-    records = sorted(ROOT.glob("BENCH_*.json"))
+
+def _check_records(cwd: pathlib.Path) -> list:
+    """Validate every ``BENCH_*.json`` in ``cwd``; returns the failures.
+
+    Machine-readable trajectory: every record must be schema-valid — a
+    malformed record poisons every future re-anchor that reads the
+    trajectory, so it fails the whole run.  Two records reporting
+    different resolved run configs under the same benchmark name would
+    make speedups incomparable across the trajectory, so that fails the
+    run too.
+    """
+    failures = []
+    records = sorted(cwd.glob("BENCH_*.json"))
     configs_by_bench = {}
     for path in records:
         try:
@@ -171,6 +157,34 @@ def main() -> int:
     if not records:
         print("MALFORMED bench trajectory: no BENCH_*.json written")
         failures.append("bench records missing")
+    return failures
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="smoke-size workloads (seconds, relaxed "
+                             "guards) instead of acceptance scale")
+    parser.add_argument("--fresh", action="store_true",
+                        help="truncate reproduction_report.txt first "
+                             "(default: append)")
+    args = parser.parse_args()
+
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else src)
+
+    if args.fresh:
+        REPORT.write_text("")
+    # Smoke-scale records go to a scratch directory; only a full run
+    # refreshes the committed records at the root.
+    workdir = (tempfile.TemporaryDirectory() if args.quick
+               else contextlib.nullcontext(ROOT))
+    with workdir as cwd:
+        cwd = pathlib.Path(cwd)
+        failures = _run_steps(_steps(args.quick), cwd, env)
+        failures += _check_records(cwd)
 
     if failures:
         print(f"\n{len(failures)} step(s) failed: {', '.join(failures)}")

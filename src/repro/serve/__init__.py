@@ -30,9 +30,8 @@ request, one throwaway pool), this package keeps a resident
   restarts, in-flight high-water marks); every scheduler carries one,
   exposed via ``Scheduler.stats()`` / ``ServingClient.stats()``.
 
-See ``examples/serving.py`` for an end-to-end tour,
-``benchmarks/bench_serve.py`` for the pool-amortisation guard, and
-``benchmarks/loadgen.py`` for the open-loop sustained-load/soak harness.
+See ``examples/serving.py`` for an end-to-end tour; served throughput
+and latency are measured by ``yardstick/run.py`` (``BENCHMARK.json``).
 """
 
 from .pool import BrokenProcessPool, WorkerPool, default_mp_context

@@ -3,8 +3,8 @@
 :class:`ServingClient` owns a resident :class:`~repro.serve.pool.WorkerPool`
 and a :class:`~repro.serve.scheduler.Scheduler` running on a background
 event-loop thread, and exposes a plain blocking/future API so ordinary
-scripts (``examples/serving.py``, ``benchmarks/bench_serve.py``) can serve
-requests without writing any asyncio::
+scripts (``examples/serving.py``) can serve requests without writing any
+asyncio::
 
     with ServingClient(jobs=4) as client:
         fut_a = client.submit("gamma_correct", inputs_a, 128, tile=8,

@@ -5,8 +5,8 @@ positive and a silenced case (inline suppression or baseline entry).
 The framework tests cover the suppression grammar, the baseline
 lifecycle, path handling (a typo'd path or an empty directory must fail
 the gate, not lint nothing), the CLI exit codes, the pyproject
-ruff-selection mirror, the call-graph resolver's edge cases, the
-content-hash result cache and the ``--fix`` autofixes.
+ruff-selection mirror, the call-graph resolver's edge cases and the
+``--fix`` autofixes.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from repro_lint import engine
-from repro_lint.cache import LintCache
 from repro_lint.cli import main
 from repro_lint.engine import (
     BaselineEntry,
-    FileContext,
     PathError,
     iter_py_files,
     load_baseline,
@@ -863,66 +861,6 @@ class TestCallGraph:
 
 
 # ---------------------------------------------------------------------------
-# content-hash result cache
-# ---------------------------------------------------------------------------
-class TestCache:
-    FILES = [("src/repro/fake.py", """\
-        import time
-
-
-        def stamp():
-            return time.time()
-        """)]
-
-    def test_warm_run_replays_findings_without_parsing(self, tmp_path):
-        cache = LintCache(tmp_path)
-        cold = _run(self.FILES, cache=cache)
-        cache.save()
-        warm_cache = LintCache(tmp_path)
-        before = FileContext.parsed_total
-        warm = _run(self.FILES, cache=warm_cache)
-        assert FileContext.parsed_total == before
-        assert warm.findings == cold.findings
-        assert warm_cache.hits == 1 and warm_cache.misses == 0
-
-    def test_content_change_misses_and_relints(self, tmp_path):
-        cache = LintCache(tmp_path)
-        assert "RL001" in _codes(_run(self.FILES, cache=cache))
-        cache.save()
-        fixed = [("src/repro/fake.py", """\
-            import time
-
-
-            def stamp():
-                return time.perf_counter()
-            """)]
-        warm = _run(fixed, cache=LintCache(tmp_path))
-        assert warm.clean
-
-    def test_suppression_accounting_stays_live_from_cache(self, tmp_path):
-        files = [("src/repro/fake.py", """\
-            import time
-
-
-            def stamp():
-                return time.time()  # repro-lint: disable=RL001 -- provenance only
-            """)]
-        cache = LintCache(tmp_path)
-        cold = _run(files, cache=cache)
-        assert cold.clean and len(cold.suppressed) == 1
-        cache.save()
-        before = FileContext.parsed_total
-        warm = _run(files, cache=LintCache(tmp_path))
-        assert FileContext.parsed_total == before
-        assert warm.clean and len(warm.suppressed) == 1
-
-    def test_select_runs_never_touch_the_cache(self, tmp_path):
-        cache = LintCache(tmp_path)
-        _run(self.FILES, cache=cache, select=["W"])
-        assert cache.hits == 0 and cache.misses == 0
-
-
-# ---------------------------------------------------------------------------
 # --fix autofixes
 # ---------------------------------------------------------------------------
 class TestFixes:
@@ -948,7 +886,7 @@ class TestFixes:
         target = tmp_path / "fake.py"
         target.write_text("import os\n\n\nX = 1 \n", encoding="utf-8")
         rc = main([str(target), "--project-root", str(tmp_path),
-                   "--no-baseline", "--no-cache", "--fix"])
+                   "--no-baseline", "--fix"])
         assert rc == 0
         assert "fixed 2 issue(s)" in capsys.readouterr().out
         assert target.read_text(encoding="utf-8") == "\n\nX = 1\n"
@@ -1021,7 +959,7 @@ class TestGate:
         assert [f["code"] for f in payload["findings"]] == ["RL001"]
 
     def test_changed_since_head_is_clean(self, capsys):
-        assert main(["--changed-since", "HEAD", "--no-cache"]) == 0
+        assert main(["--changed-since", "HEAD"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_changed_since_rejects_explicit_paths(self, capsys):

@@ -9,7 +9,9 @@ Covers the PR 6 contracts layered on top of :mod:`repro.serve`:
 * ``{"type": "stats"}`` round-trips through both front-ends
   (``ServingClient.stats()`` and the ``serve_stdio`` JSON loop);
 * a worker death mid-stream shows ``pool_restarts == 1`` and every
-  surviving response stays bit-identical to ``run_tiled(jobs=1)``;
+  surviving response stays bit-identical to ``run_tiled(jobs=1)``, also
+  on a mixed trace (both backends, faulty and column engines, two scene
+  sizes) that must leave no shared-memory scene segment behind;
 * ``decode_request`` strictness — ``backend`` threads through instead of
   being silently dropped, unknown keys are rejected by name, a
   null/float seed is rejected (silent nondeterminism), and
@@ -17,12 +19,12 @@ Covers the PR 6 contracts layered on top of :mod:`repro.serve`:
 * ``encode_response`` strictness — non-finite values become JSON
   ``null`` with a ``nonfinite`` count, never bare ``NaN`` literals;
 * :meth:`WorkerPool.warmup` barriers until every worker is provably up;
-* the ``BENCH_*.json`` record schema (:mod:`repro.report`) and the load
-  harness's trace/oracle/summary plumbing (``benchmarks/loadgen.py``).
+* the ``BENCH_*.json`` record schema (``benchmarks/records.py``).
 """
 
 import asyncio
 import dataclasses
+import gc
 import importlib.util
 import io
 import json
@@ -35,16 +37,13 @@ import numpy as np
 import pytest
 
 from repro.apps.executor import run_tiled
-from repro.apps.filters import gamma_correct_inputs, mean_filter_inputs
+from repro.apps.filters import (
+    contrast_stretch_inputs,
+    gamma_correct_inputs,
+    mean_filter_inputs,
+)
 from repro.apps.images import natural_scene
 from repro.core.backend import use_backend
-from repro.report import (
-    BENCH_SCHEMA_VERSION,
-    bench_record,
-    load_bench_record,
-    validate_bench_record,
-    write_bench_record,
-)
 from repro.reram.faults import DEFAULT_FAULT_RATES, GateFaultRates
 from repro.serve import (
     BrokenProcessPool,
@@ -55,12 +54,20 @@ from repro.serve import (
 )
 from repro.serve.metrics import Gauge, Window
 from repro.serve.service import decode_request, encode_response, serve_stdio
+from repro.serve.transport import SCENE_PREFIX
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _image(size=6, seed=3):
     return natural_scene(size, size, np.random.default_rng(seed))
+
+
+def _scene_segments():
+    """Names of the live ``/dev/shm`` scene segments."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    return {n for n in os.listdir("/dev/shm") if n.startswith(SCENE_PREFIX)}
 
 
 def _raw_request(**overrides):
@@ -329,6 +336,62 @@ class TestWorkerDeath:
         assert snap["requests"]["ok"] + snap["requests"]["failed"] == 5
         assert snap["requests"]["inflight"] == 0
 
+    def test_mixed_trace_survives_death_without_leaking_segments(self):
+        # Four request shapes covering the serving matrix: small and big
+        # scenes, both backends, the column cell model and a faulty
+        # sparse-sampled engine.
+        rng = np.random.default_rng(1234)
+        small, big = natural_scene(6, 6, rng), natural_scene(10, 10, rng)
+        column = {"cell_model": "column"}
+        templates = [
+            ("gamma_correct", gamma_correct_inputs(small), column,
+             {"gamma": 0.5}, "packed"),
+            ("mean_filter", mean_filter_inputs(big), column, {}, "packed"),
+            ("contrast_stretch", contrast_stretch_inputs(small), {},
+             {"lo": 0.1, "hi": 0.9}, "unpacked"),
+            ("mean_filter", mean_filter_inputs(small),
+             {"fault_rates": DEFAULT_FAULT_RATES,
+              "fault_sampling": "sparse"}, {}, "packed"),
+        ]
+        trace = [(i % len(templates), i % 8) for i in range(24)]
+        refs = {}
+        for tidx, seed in set(trace):
+            kernel, inputs, engine_kwargs, kernel_kwargs, backend = \
+                templates[tidx]
+            with use_backend(backend):
+                refs[tidx, seed], _ = run_tiled(
+                    kernel, inputs, 32, tile=3, jobs=1, seed=seed,
+                    engine_kwargs=engine_kwargs,
+                    kernel_kwargs=kernel_kwargs)
+
+        gc.collect()   # unlink stores other tests left to the collector
+        before = _scene_segments()
+        futures = []
+        with ServingClient(jobs=2) as client:
+            victim = client.pool.worker_pids()[0]
+            for i, (tidx, seed) in enumerate(trace):
+                if i == len(trace) // 2:
+                    os.kill(victim, signal.SIGKILL)
+                kernel, inputs, engine_kwargs, kernel_kwargs, backend = \
+                    templates[tidx]
+                futures.append(client.submit(
+                    kernel, inputs, 32, tile=3, seed=seed,
+                    engine_kwargs=engine_kwargs,
+                    kernel_kwargs=kernel_kwargs, backend=backend))
+            survivors = 0
+            for key, fut in zip(trace, futures):
+                try:
+                    out = fut.result(timeout=300)[0]
+                except BrokenProcessPool:
+                    continue   # in flight at the kill: expected casualty
+                np.testing.assert_array_equal(out, refs[key])
+                survivors += 1
+            restarts = client.pool.restarts
+        gc.collect()
+        assert survivors > 0
+        assert restarts == 1
+        assert _scene_segments() <= before
+
 
 # ----------------------------------------------------------------------
 # request decoding strictness
@@ -445,16 +508,28 @@ class TestWarmupBarrier:
 
 
 # ----------------------------------------------------------------------
-# BENCH_*.json record schema
+# BENCH_*.json record schema (benchmarks/records.py)
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def records():
+    """The record schema module; benchmarks/ is not a package, so load it
+    by path."""
+    spec = importlib.util.spec_from_file_location(
+        "records", ROOT / "benchmarks" / "records.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchRecords:
-    def test_write_load_roundtrip_coerces_numpy(self, tmp_path):
+    def test_write_load_roundtrip_coerces_numpy(self, records, tmp_path):
         path = tmp_path / "BENCH_x.json"
-        write_bench_record(path, "x", config={"jobs": np.int64(4)},
-                           results={"speedup": np.float64(2.5),
-                                    "curve": np.arange(3.0)})
-        record = load_bench_record(path)
-        assert record["schema"] == BENCH_SCHEMA_VERSION
+        records.write_bench_record(path, "x",
+                                   config={"jobs": np.int64(4)},
+                                   results={"speedup": np.float64(2.5),
+                                            "curve": np.arange(3.0)})
+        record = records.load_bench_record(path)
+        assert record["schema"] == records.BENCH_SCHEMA_VERSION
         assert record["config"]["jobs"] == 4
         assert record["results"]["speedup"] == 2.5
         assert record["results"]["curve"] == [0.0, 1.0, 2.0]
@@ -468,78 +543,23 @@ class TestBenchRecords:
         (lambda r: r["results"].__setitem__("x", float("nan")),
          "strict JSON"),
     ])
-    def test_validator_rejects_malformed_records(self, mutate, match):
-        record = bench_record("ok", {"a": 1}, {"b": 2.0})
+    def test_validator_rejects_malformed_records(self, records, mutate,
+                                                match):
+        record = records.bench_record("ok", {"a": 1}, {"b": 2.0})
         mutate(record)
         with pytest.raises(ValueError, match=match):
-            validate_bench_record(record)
+            records.validate_bench_record(record)
 
-    def test_nan_result_fails_at_write_time(self, tmp_path):
+    def test_nan_result_fails_at_write_time(self, records, tmp_path):
         with pytest.raises(ValueError, match="strict JSON"):
-            write_bench_record(tmp_path / "BENCH_bad.json", "bad",
-                               config={}, results={"x": float("nan")})
+            records.write_bench_record(tmp_path / "BENCH_bad.json", "bad",
+                                       config={},
+                                       results={"x": float("nan")})
 
-    def test_existing_root_records_are_schema_valid(self):
+    def test_existing_root_records_are_schema_valid(self, records):
         # run_report.py fails loudly on a malformed trajectory record;
         # this pins the same property in tier 1 for whatever records the
         # working tree currently holds.
         for path in sorted(ROOT.glob("BENCH_*.json")):
-            record = load_bench_record(path)
+            record = records.load_bench_record(path)
             assert record["bench"]
-
-
-# ----------------------------------------------------------------------
-# load harness plumbing (benchmarks/ is not a package: load by path)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def loadgen():
-    spec = importlib.util.spec_from_file_location(
-        "loadgen", ROOT / "benchmarks" / "loadgen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestLoadHarness:
-    def test_trace_mixes_templates_and_seeds(self, loadgen):
-        templates = loadgen.build_templates(6, 10, 32, 3)
-        names = [t["name"] for t in templates]
-        assert len(set(names)) == len(templates) == 4
-        assert {t["backend"] for t in templates} == {"packed", "unpacked"}
-        assert any("fault_rates" in t["engine_kwargs"] for t in templates)
-        trace = loadgen.build_trace(16, templates)
-        assert {tidx for tidx, _ in trace} == set(range(len(templates)))
-        assert all(0 <= seed < loadgen.SEED_CYCLE for _, seed in trace)
-        assert trace == loadgen.build_trace(16, templates)   # deterministic
-
-    def test_reference_cache_caches_run_tiled_oracle(self, loadgen):
-        templates = loadgen.build_templates(6, 10, 32, 3)
-        refs = loadgen.ReferenceCache(templates)
-        first = refs.get(0, 1)
-        assert refs.get(0, 1) is first   # cached, not recomputed
-        t = templates[0]
-        with use_backend(t["backend"]):
-            direct, _ = run_tiled(t["kernel"], t["inputs"], t["length"],
-                                  tile=t["tile"], jobs=1, seed=1,
-                                  engine_kwargs=t["engine_kwargs"],
-                                  kernel_kwargs=t["kernel_kwargs"])
-        np.testing.assert_array_equal(first, direct)
-
-    def test_summarise_flags_mangled_response(self, loadgen):
-        templates = loadgen.build_templates(6, 10, 32, 3)
-        refs = loadgen.ReferenceCache(templates)
-        good = refs.get(0, 0)
-        records = [
-            {"tidx": 0, "seed": 0, "ok": True, "output": good,
-             "t_submit": 0.0, "t_done": 0.1},
-            {"tidx": 0, "seed": 0, "ok": True, "output": good + 1.0,
-             "t_submit": 0.0, "t_done": 0.3},
-        ]
-        raw = {"records": records, "elapsed_s": 0.3, "stats": {},
-               "killed_workers": 0}
-        results = loadgen.summarise(raw, [(0, 0), (0, 0)], templates, 0.0)
-        assert results["ok"] == 2
-        assert results["incorrect"] == 1   # the mangled response
-        assert results["latency_s"]["p50"] == pytest.approx(0.2)
-        assert results["elapsed_s"] == pytest.approx(0.3)
-        assert results["saturation_rps"] == pytest.approx(2 / 0.3)

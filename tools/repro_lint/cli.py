@@ -4,10 +4,8 @@ Exit codes: 0 clean, 1 findings, 2 usage error (including a nonexistent
 path argument or a directory containing no ``.py`` files — a typo'd
 path must fail the gate, not lint nothing).
 
-Full runs are cached by content hash (``tools/repro_lint/.cache/``);
-``--no-cache`` bypasses it and ``--cache-dir`` relocates it.  ``--fix``
-applies the mechanical hygiene fixes (trailing whitespace, final
-newline, unambiguous unused imports) in place before linting.
+``--fix`` applies the mechanical hygiene fixes (trailing whitespace,
+final newline, unambiguous unused imports) in place before linting.
 ``--changed-since REF`` lints only files ``git diff`` reports changed
 against REF (the ``make lint-changed`` fast path).
 """
@@ -55,12 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="lint only .py files git reports changed "
                              "against REF; skips the unused-suppression "
                              "and stale-baseline checks (partial view)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update the result cache")
-    parser.add_argument("--cache-dir", metavar="DIR", type=pathlib.Path,
-                        default=None,
-                        help="result-cache directory (default: "
-                             "tools/repro_lint/.cache)")
     parser.add_argument("--baseline", metavar="FILE", type=pathlib.Path,
                         default=engine.DEFAULT_BASELINE,
                         help="baseline file (default: the checked-in "
@@ -161,19 +153,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     select = ([s.strip() for s in args.select.split(",") if s.strip()]
               if args.select else None)
-    cache = None
-    if not args.no_cache and select is None and not subset:
-        from .cache import LintCache
-        cache = LintCache(args.cache_dir)
     try:
         result = engine.run_paths(paths, root=args.project_root,
                                   baseline=baseline, select=select,
-                                  cache=cache, subset=subset)
+                                  subset=subset)
     except PathError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-    if cache is not None:
-        cache.save()
 
     findings = sorted(result.findings + baseline_errors)
     if args.write_baseline:

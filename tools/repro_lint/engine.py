@@ -120,14 +120,8 @@ class FileContext:
 
     Parsing (AST + parent map) and the tokenize-based suppression scan
     are **lazy**: they run on first access of :attr:`tree` /
-    :attr:`suppressions`.  The parse cache relies on this — a cache-hit
-    file replays its recorded findings and suppressions without ever
-    touching the parser, unless a project rule later demands its AST.
+    :attr:`suppressions`, and at most once.
     """
-
-    #: process-lifetime count of actual ``ast.parse`` runs (test hook:
-    #: proves the cache skips parses rather than timing it)
-    parsed_total = 0
 
     def __init__(self, relpath: str, source: str) -> None:
         self.relpath = relpath
@@ -148,7 +142,6 @@ class FileContext:
         if self._parsed:
             return
         self._parsed = True
-        FileContext.parsed_total += 1
         try:
             self._tree = ast.parse(self.source, filename=self.relpath)
         except SyntaxError as exc:
@@ -179,13 +172,6 @@ class FileContext:
     def suppression_findings(self) -> List[Finding]:
         self._ensure_scanned()
         return self._suppression_findings
-
-    def restore(self, suppressions: List[Suppression],
-                suppression_findings: List[Finding]) -> None:
-        """Adopt cached suppression state without a tokenize pass."""
-        self._scanned = True
-        self._suppressions = suppressions
-        self._suppression_findings = suppression_findings
 
     def _ensure_scanned(self) -> None:
         if not self._scanned:
@@ -429,7 +415,6 @@ class Result:
 def run_sources(files: Sequence[Tuple[str, str]], *,
                 baseline: Optional[Sequence[BaselineEntry]] = None,
                 select: Optional[Sequence[str]] = None,
-                cache: Optional["object"] = None,
                 subset: bool = False) -> Result:
     """Run every (selected) rule over ``(relpath, source)`` pairs.
 
@@ -443,18 +428,10 @@ def run_sources(files: Sequence[Tuple[str, str]], *,
     are skipped — a suppression justified by a project-rule finding
     rooted in an unlisted file, or a baseline entry for an unlisted
     file, is not evidence of rot either.
-
-    ``cache`` is a :class:`~.cache.LintCache` (or ``None``): on full
-    runs, files whose content hash matches a cached entry replay their
-    per-file findings and suppressions without parsing or running file
-    rules, and a run whose entire file set is unchanged replays the
-    project-rule findings too — skipping every parse.  Partial
-    (``select``/``subset``) runs never consult or populate the cache.
     """
     load_plugins()
     full_run = select is None
     complete = full_run and not subset
-    use_cache = cache is not None and complete
 
     def selected(code: str) -> bool:
         return full_run or any(code.startswith(s) for s in select)
@@ -462,58 +439,21 @@ def run_sources(files: Sequence[Tuple[str, str]], *,
     contexts = [FileContext(relpath, source) for relpath, source in files]
     project = Project(contexts)
     raw: List[Finding] = []
-    fresh: List[FileContext] = []
-    digests: Dict[str, str] = {}
-    all_hit = True
     for ctx in contexts:
-        entry = None
-        if use_cache:
-            digests[ctx.relpath] = cache.digest(ctx.source)
-            entry = cache.get_file(ctx.relpath, digests[ctx.relpath])
-        if entry is not None:
-            findings, sups, sup_findings = entry
-            ctx.restore(sups, sup_findings)
-            raw.extend(findings)
-            raw.extend(sup_findings)
-        else:
-            all_hit = False
-            fresh.append(ctx)
-
-    per_file: Dict[str, List[Finding]] = {c.relpath: [] for c in fresh}
-    for ctx in fresh:
         if ctx.syntax_error is not None:
-            per_file[ctx.relpath].append(ctx.syntax_error)
+            raw.append(ctx.syntax_error)
+        raw.extend(ctx.suppression_findings)
     for code in sorted(RULES):
         rule = RULES[code]
-        if rule.file_check is None or not selected(code):
+        if not selected(code):
             continue
-        for ctx in fresh:
-            if ctx.tree is not None and rule.scope(ctx.relpath):
-                per_file[ctx.relpath].extend(rule.file_check(ctx))
-    for ctx in fresh:
-        findings = sorted(per_file[ctx.relpath])
-        raw.extend(f for f in findings if selected(f.code))
-        raw.extend(f for f in ctx.suppression_findings
-                   if selected("RL000"))
-        if use_cache:
-            cache.put_file(ctx.relpath, digests[ctx.relpath], findings,
-                           ctx.suppressions, ctx.suppression_findings)
-
-    project_key = (cache.project_key(digests)
-                   if use_cache else None)
-    project_findings: Optional[List[Finding]] = None
-    if use_cache and all_hit:
-        project_findings = cache.get_project(project_key)
-    if project_findings is None:
-        project_findings = []
-        for code in sorted(RULES):
-            rule = RULES[code]
-            if rule.project_check is not None and selected(code):
-                project_findings.extend(rule.project_check(project))
-        project_findings.sort()
-        if use_cache:
-            cache.put_project(project_key, project_findings)
-    raw.extend(f for f in project_findings if selected(f.code))
+        if rule.file_check is not None:
+            for ctx in contexts:
+                if ctx.tree is not None and rule.scope(ctx.relpath):
+                    raw.extend(rule.file_check(ctx))
+        if rule.project_check is not None:
+            raw.extend(rule.project_check(project))
+    raw = [f for f in raw if selected(f.code)]
 
     # inline suppressions
     visible: List[Finding] = []
@@ -579,7 +519,6 @@ def _line_contains(project: Project, f: Finding, fragment: str) -> bool:
 def run_paths(paths: Sequence[str], *, root: pathlib.Path = REPO,
               baseline: Optional[Sequence[BaselineEntry]] = None,
               select: Optional[Sequence[str]] = None,
-              cache: Optional["object"] = None,
               subset: bool = False) -> Result:
     """Discover files under ``paths`` and lint them (the CLI's core)."""
     files: List[Tuple[str, str]] = []
@@ -592,7 +531,7 @@ def run_paths(paths: Sequence[str], *, root: pathlib.Path = REPO,
             unreadable.append(Finding(relpath, 0, "E902",
                                       f"unreadable: {exc}"))
     result = run_sources(files, baseline=baseline, select=select,
-                         cache=cache, subset=subset)
+                         subset=subset)
     if unreadable:
         result = Result(sorted(result.findings + unreadable),
                         result.suppressed, result.baselined,
