@@ -45,10 +45,13 @@ test-faulty:
 	REPRO_BACKEND=packed $(PYTEST) -x -q tests/test_fault_sampling.py
 
 # Serving-layer focus run (a subset of the tier-1 suite, for quick
-# iteration on the scheduler/pool).
+# iteration on the scheduler/pool, its chunked dispatch, metrics and
+# scene transport).
+SERVING_TESTS = tests/test_serving.py tests/test_serve_metrics.py \
+	tests/test_transport.py
 test-serving:
-	REPRO_BACKEND=unpacked $(PYTEST) -x -q tests/test_serving.py
-	REPRO_BACKEND=packed $(PYTEST) -x -q tests/test_serving.py
+	REPRO_BACKEND=unpacked $(PYTEST) -x -q $(SERVING_TESTS)
+	REPRO_BACKEND=packed $(PYTEST) -x -q $(SERVING_TESTS)
 
 # Quick throughput checks (~seconds): packed-vs-unpacked word chain,
 # column-vs-per-bit S-to-B, a tiny-config end-to-end app run (bench_apps

@@ -36,9 +36,9 @@ long-lived instance instead (``run_tiled(..., pool=...)`` threads it
 through), so request-serving workloads pay worker startup once.  The
 request decomposition itself is exposed as :func:`build_tile_tasks` /
 :func:`stitch_tiles`; the asyncio serving layer
-(:mod:`repro.serve.scheduler`) uses exactly these to interleave tiles from
-concurrent requests onto one shared pool while preserving the per-request
-determinism contract above.
+(:mod:`repro.serve.scheduler`) uses exactly these to interleave chunks of
+tiles (run by :func:`_run_tiles`) from concurrent requests onto one shared
+pool while preserving the per-request determinism contract above.
 
 Beyond the three evaluation applications, :data:`KERNELS` registers the
 four SC image filters of :mod:`repro.apps.filters`; filter-specific
@@ -174,6 +174,18 @@ def _run_tile(task: Tuple[str, str, Any, int,
     out = KERNELS[kernel_name](engine, length=length, **arrays,
                                **kernel_kwargs)
     return np.asarray(out, dtype=np.float64), engine.ledger
+
+
+def _run_tiles(tasks: Sequence[Tuple]
+               ) -> List[Tuple[np.ndarray, EnergyLedger]]:
+    """Execute a chunk of tile tasks in order, as one pool task.
+
+    Each tile still runs through :func:`_run_tile` — its own child RNG,
+    its own fresh engine, its own :data:`KERNELS` lookup — so a chunk
+    yields exactly the results its tiles would one by one; only the
+    pool round trips are shared.
+    """
+    return [_run_tile(task) for task in tasks]
 
 
 class TilePlan(NamedTuple):

@@ -38,6 +38,7 @@ All kernels take float images in ``[0, 1]`` and an
 
 from __future__ import annotations
 
+import functools
 from typing import Dict
 
 import numpy as np
@@ -164,8 +165,14 @@ def mean_filter_sc(engine: InMemorySCEngine, image: np.ndarray,
 # ---------------------------------------------------------------------------
 # Gamma correction (Bernstein polynomial)
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=64)
 def _gamma_bernstein(gamma: float, degree: int = 4) -> np.ndarray:
-    """Least-squares Bernstein fit of ``x ** gamma`` on [0, 1]."""
+    """Least-squares Bernstein fit of ``x ** gamma`` on [0, 1].
+
+    Memoised per process: the fit depends on ``(gamma, degree)`` alone,
+    so a worker runs ``lstsq`` once per curve instead of once per tile.
+    The shared result is read-only.
+    """
     xs = np.linspace(0.0, 1.0, 256)
     target = xs ** gamma
     # Design matrix of Bernstein basis polynomials.
@@ -173,7 +180,9 @@ def _gamma_bernstein(gamma: float, degree: int = 4) -> np.ndarray:
     basis = np.stack([comb(degree, k) * xs ** k * (1 - xs) ** (degree - k)
                       for k in range(degree + 1)], axis=1)
     coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    return np.clip(coeffs, 0.0, 1.0)
+    coeffs = np.clip(coeffs, 0.0, 1.0)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def gamma_correct_float(image: np.ndarray, gamma: float = 0.45) -> np.ndarray:

@@ -10,10 +10,11 @@ request, one throwaway pool), this package keeps a resident
   ``pool_map``/``run_tiled`` accept instances via ``pool=`` so even the
   classic batch path can amortise startup.
 * :class:`Scheduler` — asyncio request scheduler; decomposes each request
-  with the executor's own task builder, interleaves tiles from different
-  requests fair round-robin, and stitches per-request results exactly as
-  ``run_tiled`` does.  Served output is bit-identical to the batch path
-  per request.
+  with the executor's own task builder, ships its tiles to the pool in
+  chunks (one pool task per up to ``CHUNK_PIXELS`` pixels of contiguous
+  tiles), interleaves chunks from different requests fair round-robin,
+  and stitches per-request results exactly as ``run_tiled`` does.
+  Served output is bit-identical to the batch path per request.
 * :class:`ServingClient` — blocking facade (background event loop) for
   scripts and benchmarks.
 * :class:`SceneStore` — content-addressed shared-memory scene transport
@@ -26,8 +27,8 @@ request, one throwaway pool), this package keeps a resident
   ``{"type": "stats"}`` request returns the metrics snapshot;
   ``put_scene``/``drop_scene`` manage scene handles).
 * :class:`ServeMetrics` — Prometheus-style serving metrics (per-request
-  queue wait / exec time / latency percentiles, tiles dispatched, pool
-  restarts, in-flight high-water marks); every scheduler carries one,
+  queue wait / exec time / latency percentiles, tiles and pool tasks
+  dispatched, pool restarts, in-flight high-water marks); every scheduler carries one,
   exposed via ``Scheduler.stats()`` / ``ServingClient.stats()``.
 
 See ``examples/serving.py`` for an end-to-end tour; served throughput

@@ -10,7 +10,7 @@ asyncio::
         fut_a = client.submit("gamma_correct", inputs_a, 128, tile=8,
                               kernel_kwargs={"gamma": 0.5})
         fut_b = client.submit("matting", inputs_b, 64, tile=8, seed=3)
-        image_a, ledger_a = fut_a.result()   # tiles of a and b interleaved
+        image_a, ledger_a = fut_a.result()   # chunks of a and b interleaved
         image_b, ledger_b = fut_b.result()
 
 Every request is bit-identical to the equivalent
@@ -55,7 +55,8 @@ class ServingClient:
         Serve over an existing pool instead of owning one (the caller
         keeps responsibility for closing it).
     max_inflight:
-        Scheduler in-flight budget (default: pool capacity).
+        Scheduler in-flight budget in pool tasks, each a chunk of one
+        request's tiles (default: pool capacity).
     warmup:
         Start every worker during construction instead of lazily on the
         first request (default True — serving wants cold-start paid at

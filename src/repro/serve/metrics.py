@@ -2,11 +2,12 @@
 
 The serving hot path (PR 5) had no observability: nothing recorded how
 long a request queued before its first tile dispatched, how long it
-executed, how many tiles the scheduler pushed, or how often a worker
-crash forced a pool respawn.  :class:`ServeMetrics` is that surface.  One
-instance lives on each :class:`~repro.serve.scheduler.Scheduler`
-(``scheduler.metrics``); the scheduler feeds it from its dispatch loop,
-and front-ends expose it two ways:
+executed, how many tiles (and pool tasks) the scheduler pushed, or how
+often a worker crash forced a pool respawn.  :class:`ServeMetrics` is
+that surface.  One instance lives on each
+:class:`~repro.serve.scheduler.Scheduler` (``scheduler.metrics``); the
+scheduler feeds it from its dispatch loop, and front-ends expose it two
+ways:
 
 * ``scheduler.stats()`` / ``ServingClient.stats()`` — a plain-JSON
   snapshot (counters, gauges with high-water marks, and p50/p90/p99 of
@@ -19,7 +20,13 @@ Counted quantities
 ------------------
 ``requests``   admitted / ok / failed, in-flight + high-water mark.
 ``tiles``      dispatched (one per ``dispatch_log`` entry — the test
-               suite asserts the two agree), completed, in-flight + hwm.
+               suite asserts the two agree), completed, in-flight + hwm;
+               every count is in tiles, whichever chunk carried them.
+``tasks``      pool tasks dispatched and their in-flight hwm: one task
+               ships a chunk of up to ``CHUNK_PIXELS // tile_area``
+               contiguous tiles of one request (see
+               :mod:`repro.serve.scheduler`), so tasks <= tiles, and
+               ``max_inflight`` bounds tasks, not tiles.
 ``pool``       restarts (worker-death respawns by the scheduler).
 ``scenes``     scene-cache hits/misses and scene bytes shipped across a
                process boundary (zero for a shared-memory cache hit —
@@ -142,12 +149,19 @@ class ServeMetrics:
             "serve_requests_inflight", "Requests admitted but unresolved")
         self.tiles_dispatched = Counter(
             "serve_tiles_dispatched_total",
-            "Tile tasks dispatched (one per dispatch_log entry)")
+            "Tiles dispatched to the pool (one per dispatch_log entry)")
         self.tiles_completed = Counter(
-            "serve_tiles_completed_total", "Tile futures delivered")
+            "serve_tiles_completed_total",
+            "Tiles whose pool task has delivered")
         self.tiles_inflight = Gauge(
-            "serve_tiles_inflight", "Tile tasks submitted to the pool and "
-            "not yet delivered")
+            "serve_tiles_inflight", "Tiles submitted to the pool and not "
+            "yet delivered")
+        self.tasks_dispatched = Counter(
+            "serve_tasks_dispatched_total",
+            "Pool tasks dispatched, each a chunk of one request's tiles")
+        self.tasks_inflight = Gauge(
+            "serve_tasks_inflight", "Pool tasks submitted and not yet "
+            "delivered")
         self.pool_restarts = Counter(
             "serve_pool_restarts_total",
             "Worker-pool respawns after a worker death broke the executor")
@@ -180,15 +194,25 @@ class ServeMetrics:
         self.requests_admitted.inc()
         self.requests_inflight.inc()
 
-    def on_dispatch(self, queue_wait: Optional[float] = None) -> None:
-        """One tile dispatched; ``queue_wait`` on the request's first."""
-        self.tiles_dispatched.inc()
+    def on_dispatch(self, tiles: int = 1,
+                    queue_wait: Optional[float] = None) -> None:
+        """One task of ``tiles`` tiles dispatched; ``queue_wait`` on the
+        request's first."""
+        self.tiles_dispatched.inc(tiles)
+        self.tasks_dispatched.inc()
         if queue_wait is not None:
             self.queue_wait_s.observe(queue_wait)
 
-    def on_tile_done(self) -> None:
-        self.tiles_completed.inc()
-        self.tiles_inflight.dec()
+    def on_submit(self, tiles: int) -> None:
+        """One task of ``tiles`` tiles accepted by the pool."""
+        self.tiles_inflight.inc(tiles)
+        self.tasks_inflight.inc()
+
+    def on_tile_done(self, tiles: int = 1) -> None:
+        """One task of ``tiles`` tiles delivered (result or error)."""
+        self.tiles_completed.inc(tiles)
+        self.tiles_inflight.dec(tiles)
+        self.tasks_inflight.dec()
 
     def on_request_done(self, ok: bool, *,
                         queue_wait: Optional[float] = None,
@@ -235,6 +259,10 @@ class ServeMetrics:
                 "inflight": self.tiles_inflight.value,
                 "inflight_hwm": self.tiles_inflight.hwm,
             },
+            "tasks": {
+                "dispatched": self.tasks_dispatched.value,
+                "inflight_hwm": self.tasks_inflight.hwm,
+            },
             "pool_restarts": self.pool_restarts.value,
             "scene_cache": {
                 "hits": self.scene_hits.value,
@@ -256,7 +284,8 @@ class ServeMetrics:
         lines = []
         for c in (self.requests_admitted, self.requests_ok,
                   self.requests_failed, self.tiles_dispatched,
-                  self.tiles_completed, self.pool_restarts,
+                  self.tiles_completed, self.tasks_dispatched,
+                  self.pool_restarts,
                   self.scene_hits, self.scene_misses,
                   self.scene_bytes_shipped):
             lines += [f"# HELP {c.name} {c.help}",

@@ -12,28 +12,33 @@ length, tile, seed, kwargs)``, no matter what else is in flight.
 
 Fairness
 --------
-The scheduler keeps at most ``max_inflight`` (default: pool capacity)
-tiles submitted at once and picks the next tile **round-robin across
-active requests**, so a 1000-tile scene admitted first cannot starve a
-4-tile request admitted a moment later: while both are active their tiles
-alternate onto the workers.  Dispatch order is deterministic given the
-admission order (``dispatch_log`` records it for the test suite); results
-are never order-sensitive, as each tile's RNG derives from its request's
-``SeedSequence`` child alone.
+The scheduler ships a request's tiles to the pool in *chunks*: up to
+``k = max(1, CHUNK_PIXELS // tile_area)`` contiguous tiles travel as one
+pool task (:func:`~repro.apps.executor._run_tiles`), so a small request
+pays one IPC round trip instead of one per tile.  The chunk is the unit
+of fairness: the scheduler keeps at most ``max_inflight`` (default: pool
+capacity) pool tasks submitted at once and picks the next chunk
+**round-robin across active requests**, so a 1000-tile scene admitted
+first cannot starve a 4-tile request admitted a moment later: while both
+are active their chunks alternate onto the workers.  Dispatch order is
+deterministic given the admission order (``dispatch_log`` records it,
+one entry per tile, for the test suite); results are never
+order-sensitive, as each tile's RNG derives from its request's
+``SeedSequence`` child alone, whichever chunk carries it.
 
 Failure containment
 -------------------
 * Invalid requests (unknown kernel/kwargs, bad shapes) fail inside
   ``submit_app`` during task building — before anything touches the pool.
-* A tile task that raises fails only its own request; worker processes
-  stay resident and other requests proceed.
-* A tile task that *kills* its worker breaks the pool's executor: every
-  request with tiles in flight at that moment fails with
+* A chunk that raises fails only its own request; worker processes stay
+  resident and other requests proceed.
+* A chunk that *kills* its worker breaks the pool's executor: every
+  request with chunks in flight at that moment fails with
   :class:`~repro.serve.pool.BrokenProcessPool`, the scheduler restarts
   the pool's workers, and queued/later requests run normally — the
   resident pool object is never poisoned.
 * A request whose caller cancels the ``submit_app`` future (e.g. an
-  ``asyncio.wait_for`` timeout) is abandoned: its undispatched tiles are
+  ``asyncio.wait_for`` timeout) is abandoned: its undispatched chunks are
   dropped so they stop occupying slots other requests need.
 
 Observability
@@ -41,7 +46,8 @@ Observability
 Every scheduler carries a :class:`~repro.serve.metrics.ServeMetrics`
 (``scheduler.metrics``): per-request queue wait (admission to first tile
 dispatch), exec time, end-to-end latency, tiles dispatched (one count per
-``dispatch_log`` entry), pool restarts, and in-flight high-water marks.
+``dispatch_log`` entry) next to the pool tasks that carried them, pool
+restarts, and in-flight high-water marks.
 :meth:`Scheduler.stats` snapshots it together with the pool's state; the
 stdio front-end serves the same snapshot as the ``{"type": "stats"}``
 request.
@@ -66,6 +72,17 @@ from .transport import SceneStore
 
 __all__ = ["Scheduler", "ServeRequest"]
 
+#: Pixels of tile work shipped per pool task: a request's tiles travel in
+#: chunks of ``max(1, CHUNK_PIXELS // tile_area)``.  On a 2-vCPU host a
+#: traced yardstick ``small_stdio`` run showed ~2.4 ms of pool IPC per
+#: round trip against ~1.3 ms of in-process work per 4x4 tile, so an 8x8
+#: request at tile 4 spent most of its time moving data.  64 px ships
+#: that request as one task (``small_stdio`` 94 -> 175 req/s, medians of
+#: 10 A/B pairs), keeps tiles of 8x8 and up at one task each, and still
+#: splits a 64-tile request at tile 2 into four chunks that interleave
+#: and can be cancelled; 256 px made that request a single task.
+CHUNK_PIXELS = 64
+
 
 class ServeRequest:
     """Bookkeeping for one in-flight request (internal to the scheduler)."""
@@ -77,6 +94,8 @@ class ServeRequest:
         self.future = future
         self.results: List[Optional[Tuple[np.ndarray, EnergyLedger]]] = \
             [None] * len(plan.tasks)
+        r0, r1, c0, c1 = plan.grid[0]
+        self.chunk = max(1, CHUNK_PIXELS // ((r1 - r0) * (c1 - c0)))
         self.next_tile = 0
         self.completed = 0
         self.failed = False
@@ -88,14 +107,16 @@ class ServeRequest:
     def has_pending(self) -> bool:
         return not self.failed and self.next_tile < len(self.plan.tasks)
 
-    def take(self) -> Tuple[int, Tuple]:
+    def take(self) -> Tuple[int, List[Tuple]]:
+        """The next chunk: up to ``chunk`` contiguous tile tasks, and the
+        grid index of the first."""
         idx = self.next_tile
-        self.next_tile += 1
-        return idx, self.plan.tasks[idx]
+        self.next_tile = min(idx + self.chunk, len(self.plan.tasks))
+        return idx, self.plan.tasks[idx:self.next_tile]
 
 
 class Scheduler:
-    """Fair round-robin tile scheduler over a resident :class:`WorkerPool`.
+    """Fair round-robin chunk scheduler over a resident :class:`WorkerPool`.
 
     One scheduler serves one asyncio event loop; requests may be submitted
     concurrently from any number of coroutines (or across threads via
@@ -113,9 +134,9 @@ class Scheduler:
     pool:
         The resident worker pool to dispatch onto.
     max_inflight:
-        Maximum tiles submitted to the pool at once; defaults to the
-        pool's capacity, which makes every dispatch decision as late —
-        and therefore as fair — as possible.
+        Maximum pool tasks (chunks of tiles) submitted at once; defaults
+        to the pool's capacity, which makes every dispatch decision as
+        late — and therefore as fair — as possible.
     metrics:
         The :class:`~repro.serve.metrics.ServeMetrics` registry to feed;
         a fresh one is created when omitted.
@@ -145,7 +166,8 @@ class Scheduler:
         self._ids = itertools.count()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._outstanding: set = set()
-        #: ``(request_id, tile_index)`` in dispatch order — the fairness
+        #: ``(request_id, tile_index)`` in dispatch order, one entry per
+        #: tile (a chunk logs its tiles contiguously) — the fairness
         #: audit trail the test suite asserts on.  Bounded: a long-running
         #: serve loop dispatches millions of tiles and must not accumulate
         #: an ever-growing list, so only the most recent entries survive.
@@ -269,9 +291,9 @@ class Scheduler:
 
     async def drain(self) -> None:
         """Wait until every admitted request has resolved *and* every
-        submitted tile future has delivered its callback.
+        submitted chunk future has delivered its callback.
 
-        Call (on the scheduler's loop) before stopping that loop — a tile
+        Call (on the scheduler's loop) before stopping that loop — a chunk
         callback arriving after the loop is closed would otherwise raise
         ``RuntimeError`` in the pool's callback thread and strand any
         request still awaiting it.
@@ -279,51 +301,55 @@ class Scheduler:
         if self._outstanding:
             await asyncio.gather(*list(self._outstanding),
                                  return_exceptions=True)
-        while self._inflight:   # tiles of already-failed requests
+        while self._inflight:   # chunks of already-failed requests
             await asyncio.sleep(0.005)
 
     # ------------------------------------------------------------------
     # dispatch loop
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        """Fill free pool slots, one tile per active request per pass."""
+        """Fill free pool slots, one chunk per active request per pass."""
         while self._inflight < self.max_inflight and self._round_robin:
             request = self._round_robin.popleft()
             if request.future.cancelled():
                 # Caller gave up (e.g. wait_for timeout): stop dispatching
-                # its tiles so they don't occupy slots live requests need.
+                # its chunks so they don't occupy slots live requests need.
                 request.failed = True
                 self._finalize(request, ok=False)
                 continue
             if not request.has_pending:
                 continue
-            idx, task = request.take()
+            idx, chunk = request.take()
             if request.has_pending:
                 self._round_robin.append(request)
-            self.dispatch_log.append((request.id, idx))
+            n = len(chunk)
+            self.dispatch_log.extend((request.id, i)
+                                     for i in range(idx, idx + n))
             now = time.perf_counter()
             queue_wait = None
             if request.t_first_dispatch is None:
                 request.t_first_dispatch = now
                 queue_wait = now - request.t_admit
-            self.metrics.on_dispatch(queue_wait)
+            self.metrics.on_dispatch(n, queue_wait)
             try:
-                fut = self.pool.submit(_executor._run_tile, task)
+                fut = self.pool.submit(_executor._run_tiles, chunk)
             except Exception as exc:   # broken/closed pool at submit time
                 self._fail(request, exc)
                 self._revive_pool()
                 continue
             self._inflight += 1
-            self.metrics.tiles_inflight.inc()
+            self.metrics.on_submit(n)
             fut.add_done_callback(
-                lambda f, request=request, idx=idx:
+                lambda f, request=request, idx=idx, n=n:
                 self._loop.call_soon_threadsafe(
-                    self._on_tile_done, request, idx, f))
+                    self._on_tile_done, request, idx, n, f))
 
-    def _on_tile_done(self, request: ServeRequest, idx: int, fut) -> None:
-        """Runs on the event loop for every finished tile future."""
+    def _on_tile_done(self, request: ServeRequest, idx: int, n: int,
+                      fut) -> None:
+        """Runs on the event loop for every finished chunk future: tiles
+        ``idx`` to ``idx + n - 1`` of ``request``."""
         self._inflight -= 1
-        self.metrics.on_tile_done()
+        self.metrics.on_tile_done(n)
         if request.future.cancelled():
             # Abandoned by the caller mid-flight: drop the result and stop
             # dispatching the rest (set_result on a cancelled future would
@@ -331,14 +357,14 @@ class Scheduler:
             self._fail(request, asyncio.CancelledError())
         elif fut.cancelled():
             self._fail(request, BrokenProcessPool(
-                "tile task cancelled by a pool restart"))
+                "chunk task cancelled by a pool restart"))
         else:
             exc = fut.exception()
             if exc is not None:
                 self._fail(request, exc)
             elif not request.failed:
-                request.results[idx] = fut.result()
-                request.completed += 1
+                request.results[idx:idx + n] = fut.result()
+                request.completed += n
                 if request.completed == len(request.plan.tasks):
                     request.future.set_result(
                         _executor.stitch_tiles(request.plan,
@@ -348,7 +374,7 @@ class Scheduler:
         self._pump()
 
     def _fail(self, request: ServeRequest, exc: BaseException) -> None:
-        """Fail one request (once); its unsubmitted tiles are dropped."""
+        """Fail one request (once); its unsubmitted chunks are dropped."""
         request.failed = True
         try:
             self._round_robin.remove(request)

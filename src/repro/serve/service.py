@@ -5,8 +5,8 @@ are written in *completion* order and echo the request ``id``, so a client
 pipelining requests can match them up).  The loop serves requests
 concurrently through one :class:`~repro.serve.scheduler.Scheduler` over a
 resident :class:`~repro.serve.pool.WorkerPool` — submitting several
-requests before reading responses interleaves their tiles on the shared
-workers.
+requests before reading responses interleaves their chunks of tiles on
+the shared workers.
 
 Run request (``"type": "run"``, the default when ``type`` is omitted)::
 

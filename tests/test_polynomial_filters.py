@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps import filters
 from repro.apps.filters import (
     contrast_stretch_float,
     contrast_stretch_sc,
@@ -119,6 +120,18 @@ class TestGamma:
         ref = gamma_correct_float(image, 0.45)
         out = gamma_correct_sc(engine, image, 1024, gamma=0.45)
         assert psnr(ref, out) > 18
+
+    @pytest.mark.parametrize("gamma,degree", [(0.45, 4), (2.0, 3)])
+    def test_bernstein_fit_cached_read_only_and_exact(self, gamma, degree):
+        cached = filters._gamma_bernstein(gamma, degree)
+        assert filters._gamma_bernstein(gamma, degree) is cached
+        fresh = filters._gamma_bernstein.__wrapped__(gamma, degree)
+        assert fresh is not cached
+        assert cached.tobytes() == fresh.tobytes()
+        assert cached.dtype == fresh.dtype and cached.shape == (degree + 1,)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.5
 
 
 class TestContrastStretch:

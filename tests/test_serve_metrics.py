@@ -3,7 +3,9 @@
 Covers the PR 6 contracts layered on top of :mod:`repro.serve`:
 
 * the :class:`~repro.serve.metrics.ServeMetrics` registry — its tile
-  counters agree with the scheduler's ``dispatch_log`` ground truth,
+  counters agree with the scheduler's ``dispatch_log`` ground truth, a
+  small request ships its tiles as one pool task and tasks never
+  outnumber tiles,
   requests are finalized exactly once (ok / failed / cancelled), and
   every snapshot is strict RFC 8259 JSON;
 * ``{"type": "stats"}`` round-trips through both front-ends
@@ -131,6 +133,7 @@ class TestMetricPrimitives:
         assert "# TYPE serve_requests_admitted_total counter" in text
         assert "serve_requests_admitted_total 1" in text
         assert "serve_tiles_dispatched_total 1" in text
+        assert "serve_tasks_dispatched_total 1" in text
         assert "# TYPE serve_requests_inflight gauge" in text
         assert "serve_requests_inflight_hwm 1" in text
         assert 'serve_latency_seconds{quantile="0.5"} 0.75' in text
@@ -162,12 +165,15 @@ class TestSchedulerMetrics:
                         scheduler.metrics.render_prometheus())
 
         log, snap, prom = asyncio.run(main())
-        # two 8x8 requests at tile=4 -> 4 tiles each
+        # two 8x8 requests at tile=4 -> 4 tiles each, one chunk each
         assert len(log) == 8
         assert snap["tiles"]["dispatched"] == len(log)
         assert snap["tiles"]["completed"] == len(log)
         assert snap["tiles"]["inflight"] == 0
-        assert 1 <= snap["tiles"]["inflight_hwm"] <= 2   # pool capacity
+        assert snap["tasks"]["dispatched"] == 2
+        # max_inflight (default: pool capacity) bounds tasks, not tiles
+        assert 1 <= snap["tasks"]["inflight_hwm"] <= 2
+        assert 4 <= snap["tiles"]["inflight_hwm"] <= 2 * 4
         assert snap["requests"]["admitted"] == 2
         assert snap["requests"]["ok"] == 2
         assert snap["requests"]["failed"] == 0
@@ -184,6 +190,31 @@ class TestSchedulerMetrics:
         assert snap["pool"]["restarts"] == 0
         json.dumps(snap, allow_nan=False)
         assert "serve_tiles_dispatched_total 8" in prom
+        assert "serve_tasks_dispatched_total 2" in prom
+
+    @pytest.mark.parametrize("size,tile,tasks", [
+        (8, 4, 1),     # a small_stdio request: 4 tiles of 16 px, one task
+        (8, 8, 1),     # one 64 px tile
+        (16, 8, 4),    # 64 px tiles: k = 1, one task per tile
+        (10, 3, 3),    # 16 tiles of 9 px in chunks of 7/7/2
+        (6, 1, 1),     # 36 tiles of 1 px: one chunk of up to 64
+        (9, 1, 2),     # 81 tiles of 1 px: 64 + 17
+    ])
+    def test_tasks_never_exceed_tiles(self, size, tile, tasks):
+        inputs = gamma_correct_inputs(_image(size, seed=2))
+
+        async def main():
+            with WorkerPool(2) as pool:
+                scheduler = Scheduler(pool)
+                await scheduler.submit_app("gamma_correct", inputs, 32,
+                                           tile=tile, seed=1)
+                return list(scheduler.dispatch_log), scheduler.stats()
+
+        log, snap = asyncio.run(main())
+        tiles = (-(-size // tile)) ** 2
+        assert [t for _, t in log] == list(range(tiles))
+        assert snap["tiles"]["dispatched"] == tiles
+        assert snap["tasks"]["dispatched"] == tasks <= tiles
 
     def test_build_rejected_request_is_not_admitted(self):
         img = _image()

@@ -4,12 +4,14 @@ Covers the contracts of :mod:`repro.serve`:
 
 * a served request is bit-identical to ``run_tiled(jobs=1)`` with the same
   arguments — alone, concurrent with other requests (mixed kernels,
-  engine kwargs and backends in flight at once), or through the resident
+  lengths, engine kwargs, fault configs and backends in flight at once,
+  on either side of every chunk boundary), or through the resident
   ``pool=`` batch path;
-* the scheduler dispatches tiles fair round-robin, so small requests are
-  not starved by big ones;
-* a failing request (bad kwargs, raising task, or a task that kills its
-  worker) fails alone and never poisons the resident pool;
+* the scheduler dispatches chunks of tiles fair round-robin, so small
+  requests are not starved by big ones;
+* a failing request (bad kwargs, raising task — also one tile in the
+  middle of a chunk — or a task that kills its worker) fails alone and
+  never poisons the resident pool;
 * the executor's fork/spawn-identical claim is enforced with an explicit
   ``mp_context`` (spawn regression for ``run_tiled`` jobs-invariance).
 """
@@ -29,6 +31,7 @@ from repro.apps.executor import KERNELS, run_tiled
 from repro.apps.filters import gamma_correct_inputs, mean_filter_inputs
 from repro.apps.images import natural_scene
 from repro.core.backend import use_backend
+from repro.reram.faults import DEFAULT_FAULT_RATES
 from repro.serve import (
     BrokenProcessPool,
     Scheduler,
@@ -47,10 +50,17 @@ def _image(size=12, seed=3):
     return natural_scene(size, size, np.random.default_rng(seed))
 
 
-#: (kernel, inputs, length, kwargs) triplets exercising mixed kernels and
-#: engine axes in flight at once.
-def _mixed_requests():
-    img = _image()
+#: (image size, tile) geometries on either side of the scheduler's chunk
+#: boundaries (``CHUNK_PIXELS = 64`` px per pool task): tiles of 36 and 64
+#: px travel one per task (k = 1); 8x8 at tile 4 is one full chunk of 4
+#: tiles; 10x10 at tile 3 is 16 tiles in chunks of 7, 7 and a ragged 2.
+CHUNK_GEOMETRIES = ((12, 6), (16, 8), (8, 4), (10, 3))
+
+
+#: (kernel, inputs, length, kwargs) triplets exercising mixed kernels,
+#: lengths, engine axes and fault configs in flight at once.
+def _mixed_requests(size=12):
+    img = _image(size)
     return [
         ("gamma_correct", gamma_correct_inputs(img), 32,
          dict(seed=1, kernel_kwargs={"gamma": 0.5})),
@@ -61,6 +71,10 @@ def _mixed_requests():
          dict(seed=3)),
         ("gamma_correct", gamma_correct_inputs(img), 32,
          dict(seed=4, kernel_kwargs={"gamma": 2.0})),
+        ("gamma_correct", gamma_correct_inputs(img), 48,
+         dict(seed=5, kernel_kwargs={"gamma": 0.5}, engine_kwargs={
+             "fault_rates": DEFAULT_FAULT_RATES,
+             "fault_sampling": "sparse"})),
     ]
 
 
@@ -199,18 +213,20 @@ class TestStartMethodInvariance:
 class TestServingDeterminism:
     @pytest.mark.parametrize("backend", ("unpacked", "packed"))
     def test_concurrent_serving_bit_identical_to_run_tiled(self, backend):
+        # Every geometry of CHUNK_GEOMETRIES, all in flight at once.
         with use_backend(backend):
-            requests = _mixed_requests()
-            refs = [run_tiled(kernel, inputs, length, tile=6, jobs=1,
-                              **kw)
+            requests = [(kernel, inputs, length, dict(kw, tile=tile))
+                        for size, tile in CHUNK_GEOMETRIES
+                        for kernel, inputs, length, kw
+                        in _mixed_requests(size)]
+            refs = [run_tiled(kernel, inputs, length, jobs=1, **kw)
                     for kernel, inputs, length, kw in requests]
 
             async def serve_all():
                 with WorkerPool(2, backend=backend) as pool:
                     scheduler = Scheduler(pool)
                     return await asyncio.gather(*[
-                        scheduler.submit_app(kernel, inputs, length,
-                                             tile=6, **kw)
+                        scheduler.submit_app(kernel, inputs, length, **kw)
                         for kernel, inputs, length, kw in requests])
 
             served = asyncio.run(serve_all())
@@ -319,8 +335,9 @@ class TestServingDeterminism:
 # ----------------------------------------------------------------------
 class TestServingFairness:
     def test_round_robin_interleaves_and_small_finishes_first(self):
-        big_img = _image(16, seed=1)     # 64 tiles at tile=2
-        small_img = _image(4, seed=2)    # 4 tiles at tile=2
+        # tile=2 -> chunks of CHUNK_PIXELS // 4 = 16 tiles
+        big_img = _image(16, seed=1)     # 64 tiles: 4 chunks
+        small_img = _image(4, seed=2)    # 4 tiles: 1 chunk
 
         async def main():
             with WorkerPool(2) as pool:
@@ -344,12 +361,15 @@ class TestServingFairness:
         big_positions = [i for i, (rid, _) in enumerate(log)
                          if rid == big_id]
         assert len(small_positions) == 4
-        # The small request is not starved: all of its tiles dispatch
-        # before the big request's final tile, with big tiles in between
-        # (strict alternation while both are active).
-        assert small_positions[-1] < big_positions[-1]
-        assert any(small_positions[0] < p < small_positions[-1]
-                   for p in big_positions)
+        # The small request is not starved: its one chunk dispatches
+        # before the big request's last chunk (tiles 48-63), with big
+        # chunks on both sides of it (chunks alternate while both are
+        # active).  A chunk's tiles are logged contiguously.
+        assert small_positions == list(range(small_positions[0],
+                                             small_positions[0] + 4))
+        big_last_chunk = log.index((big_id, 48))
+        assert big_positions[0] < small_positions[0]
+        assert small_positions[-1] < big_last_chunk
 
     def test_dispatch_order_is_deterministic(self):
         img = _image(8, seed=9)
@@ -395,7 +415,7 @@ class TestServingFailures:
         np.testing.assert_array_equal(asyncio.run(main()), ref)
 
     def test_cancelled_request_stops_dispatching_and_frees_pool(self):
-        big_img = _image(16, seed=3)     # 64 tiles at tile=2
+        big_img = _image(16, seed=3)     # 64 tiles at tile=2: 4 chunks
         small_img = _image(6, seed=4)
 
         async def main():
@@ -416,7 +436,10 @@ class TestServingFailures:
                 big_id = scheduler.dispatch_log[0][0]
                 dispatched = [t for rid, t in scheduler.dispatch_log
                               if rid == big_id]
-                assert len(dispatched) < 64   # abandoned, not run to end
+                # abandoned, not run to end: whole chunks of 16 tiles
+                # stop dispatching once the cancel is seen
+                assert len(dispatched) < 64
+                assert len(dispatched) % 16 == 0
                 return out
 
         ref, _ = run_tiled("mean_filter", mean_filter_inputs(small_img),
@@ -448,6 +471,41 @@ class TestServingFailures:
         ref, _ = run_tiled("mean_filter", mean_filter_inputs(img), 32,
                            tile=3, jobs=1, seed=0)
         np.testing.assert_array_equal(asyncio.run(main()), ref)
+
+    def test_raising_tile_mid_chunk_fails_only_its_request(self):
+        # 8x8 at tile 4 ships as one chunk of 4 tiles; an out-of-range
+        # pixel in tile 2 makes that tile's generate raise in the worker.
+        img = _image(8, seed=5)
+        bad = img.copy()
+        bad[5, 2] = 1.5
+        kw = dict(tile=4, kernel_kwargs={"gamma": 0.5})
+
+        async def main():
+            with WorkerPool(2) as pool:
+                pool.warmup()
+                scheduler = Scheduler(pool)
+                good = [asyncio.ensure_future(scheduler.submit_app(
+                    "gamma_correct", {"image": img}, 32, seed=s, **kw))
+                    for s in (1, 2)]
+                with pytest.raises(ValueError, match=r"\[0\.0, 1\.0\]"):
+                    await scheduler.submit_app(
+                        "gamma_correct", {"image": bad}, 32, seed=3, **kw)
+                outs = [out for out, _ in await asyncio.gather(*good)]
+                assert not pool.broken
+                assert pool.restarts == 0
+                # the resident pool still serves
+                outs.append((await scheduler.submit_app(
+                    "gamma_correct", {"image": img}, 32, seed=4, **kw))[0])
+                snap = scheduler.stats()
+                assert snap["requests"]["ok"] == 3
+                assert snap["requests"]["failed"] == 1
+                return outs
+
+        outs = asyncio.run(main())
+        for seed, out in zip((1, 2, 4), outs):
+            ref, _ = run_tiled("gamma_correct", {"image": img}, 32, jobs=1,
+                               seed=seed, **kw)
+            np.testing.assert_array_equal(out, ref)
 
     @needs_fork
     def test_worker_death_fails_request_pool_respawns(self, monkeypatch):
