@@ -6,11 +6,13 @@ and report the mean squared error (in percent, i.e. ``MSE x 100``) between
 the recovered and the exact result.
 
 The harness is chunked so that million-sample sweeps at N = 512 stay within
-a modest memory budget.
+a modest memory budget.  :func:`sng_mse` and :func:`op_mse` share one
+chunk worker and one driver; a Table I cell is the driver with no
+operation (generation only).
 
 Sharded execution (``jobs``)
 ----------------------------
-:func:`op_mse` and :func:`sng_mse` can fan their Monte-Carlo chunks over
+Both entry points can fan their Monte-Carlo chunks over
 the tile executor's process pool (:func:`repro.apps.executor.pool_map`).
 Because the classic path threads one stateful generator through the chunks
 sequentially, the sharded path instead gives every chunk a deterministic
@@ -44,41 +46,6 @@ __all__ = [
     "op_mse",
 ]
 
-SngLike = object  # duck-typed: .generate / .generate_pair
-
-
-def _sng_chunk_sq_err(sng, gen: np.random.Generator, n: int,
-                      length: int) -> float:
-    """Sum of squared generation errors over one operand chunk."""
-    x = gen.random(n)
-    streams = sng.generate(x, length)
-    err = streams.value() - x
-    return float(np.sum(err * err))
-
-
-def _sng_mse_chunk(task) -> float:
-    """Worker for the sharded path: one chunk, fresh deterministic state."""
-    backend_name, factory, length, n, child = task
-    set_backend(backend_name)
-    operand_seed, sng_seed = child.spawn(2)
-    gen = np.random.default_rng(operand_seed)
-    sng = factory(sng_seed)
-    return _sng_chunk_sq_err(sng, gen, n, length)
-
-
-def _sng_mse_sharded(factory, length: int, samples: int,
-                     seed: Optional[int], chunk: int, jobs: int,
-                     pool) -> float:
-    n_chunks = ceil(samples / chunk)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(chunk, samples - i * chunk) for i in range(n_chunks)]
-    backend_name = get_backend().name
-    tasks = [(backend_name, factory, length, n, child)
-             for n, child in zip(sizes, children)]
-    from ..apps.executor import pool_map  # deferred: core must not need apps
-    totals = pool_map(_sng_mse_chunk, tasks, jobs, pool=pool)
-    return float(sum(totals)) / samples * 100.0
-
 
 def sng_mse(sng, length: int, samples: int = 100_000,
             seed: Optional[int] = 0, chunk: int = 8192,
@@ -99,22 +66,7 @@ def sng_mse(sng, length: int, samples: int = 100_000,
     instead of a one-shot pool — a sweep of many cells should create one
     pool and share it (the table runners do).
     """
-    if callable(sng) and not hasattr(sng, "generate"):
-        return _sng_mse_sharded(sng, length, samples, seed, chunk, jobs,
-                                pool)
-    if jobs != 1 or pool is not None:
-        raise ValueError("sng_mse(jobs=N / pool=...) requires an sng "
-                         "*factory* (callable(seed_sequence) -> sng); a "
-                         "shared sng object cannot be sharded "
-                         "deterministically")
-    gen = np.random.default_rng(seed)
-    total = 0.0
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        total += _sng_chunk_sq_err(sng, gen, n, length)
-        done += n
-    return total / samples * 100.0
+    return _mse(None, sng, length, samples, seed, chunk, jobs, pool)
 
 
 @dataclass(frozen=True)
@@ -212,9 +164,18 @@ OP_SPECS: Dict[str, OpSpec] = {
 }
 
 
-def _op_chunk_sq_err(spec: OpSpec, sng, gen: np.random.Generator,
-                     n: int, length: int) -> float:
-    """Sum of squared recovery errors over one operand chunk."""
+def _chunk_sq_err(op: Union[str, OpSpec, None], sng,
+                  gen: np.random.Generator, n: int, length: int) -> float:
+    """Sum of squared recovery errors over one operand chunk.
+
+    ``op=None`` measures stream generation alone (a Table I cell);
+    otherwise the operands go through one Table II operation.
+    """
+    if op is None:
+        x = gen.random(n)
+        err = sng.generate(x, length).value() - x
+        return float(np.sum(err * err))
+    spec = OP_SPECS[op] if isinstance(op, str) else op
     u = gen.random(n)
     v = gen.random(n)
     x, y = spec.domain(u, v)
@@ -227,31 +188,46 @@ def _op_chunk_sq_err(spec: OpSpec, sng, gen: np.random.Generator,
     return float(np.sum(err * err))
 
 
-def _op_mse_chunk(task) -> float:
+def _mse_chunk(task) -> float:
     """Worker for the sharded path: one chunk, fresh deterministic state."""
-    backend_name, op_key, factory, length, n, child = task
+    backend_name, op, factory, length, n, child = task
     set_backend(backend_name)
-    spec = OP_SPECS[op_key]
     operand_seed, sng_seed = child.spawn(2)
     gen = np.random.default_rng(operand_seed)
-    sng = factory(sng_seed)
-    return _op_chunk_sq_err(spec, sng, gen, n, length)
+    return _chunk_sq_err(op, factory(sng_seed), gen, n, length)
 
 
-def _op_mse_sharded(op: Union[str, OpSpec], factory, length: int,
-                    samples: int, seed: Optional[int], chunk: int,
-                    jobs: int, pool) -> float:
-    if not isinstance(op, str):
-        raise ValueError("the sharded op_mse path needs an OP_SPECS key "
-                         "(workers resolve the spec by name)")
-    n_chunks = ceil(samples / chunk)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(chunk, samples - i * chunk) for i in range(n_chunks)]
-    backend_name = get_backend().name
-    tasks = [(backend_name, op, factory, length, n, child)
-             for n, child in zip(sizes, children)]
-    from ..apps.executor import pool_map  # deferred: core must not need apps
-    totals = pool_map(_op_mse_chunk, tasks, jobs, pool=pool)
+def _mse(op: Union[str, OpSpec, None], sng, length: int, samples: int,
+         seed: Optional[int], chunk: int, jobs: int, pool) -> float:
+    """The Monte-Carlo driver behind :func:`sng_mse` and :func:`op_mse`.
+
+    A factory ``sng`` runs the sharded path: every chunk gets a child of
+    ``SeedSequence(seed)`` and a fresh generator, and may run on a worker
+    process.  A generator object runs the sequential path: one operand
+    generator and one stateful ``sng`` threaded through the chunks in
+    order.  Either way chunk sums reduce in chunk order.
+    """
+    sizes = [min(chunk, samples - i * chunk)
+             for i in range(ceil(samples / chunk))]
+    if callable(sng) and not hasattr(sng, "generate"):
+        if op is not None and not isinstance(op, str):
+            raise ValueError("the sharded op_mse path needs an OP_SPECS key "
+                             "(workers resolve the spec by name)")
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+        backend_name = get_backend().name
+        tasks = [(backend_name, op, sng, length, n, child)
+                 for n, child in zip(sizes, children)]
+        from ..apps.executor import pool_map  # deferred: core must not need apps
+        totals = pool_map(_mse_chunk, tasks, jobs, pool=pool)
+    else:
+        if jobs != 1 or pool is not None:
+            name = "sng_mse" if op is None else "op_mse"
+            raise ValueError(f"{name}(jobs=N / pool=...) requires an sng "
+                             "*factory* (callable(seed_sequence) -> sng); a "
+                             "shared sng object cannot be sharded "
+                             "deterministically")
+        gen = np.random.default_rng(seed)
+        totals = [_chunk_sq_err(op, sng, gen, n, length) for n in sizes]
     return float(sum(totals)) / samples * 100.0
 
 
@@ -283,20 +259,4 @@ def op_mse(op: Union[str, OpSpec], sng, length: int, samples: int = 50_000,
         Optional resident :class:`repro.serve.pool.WorkerPool` for the
         sharded path (see :func:`sng_mse`).
     """
-    if callable(sng) and not hasattr(sng, "generate"):
-        return _op_mse_sharded(op, sng, length, samples, seed, chunk,
-                               jobs, pool)
-    if jobs != 1 or pool is not None:
-        raise ValueError("op_mse(jobs=N / pool=...) requires an sng "
-                         "*factory* (callable(seed_sequence) -> sng); a "
-                         "shared sng object cannot be sharded "
-                         "deterministically")
-    spec = OP_SPECS[op] if isinstance(op, str) else op
-    gen = np.random.default_rng(seed)
-    total = 0.0
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        total += _op_chunk_sq_err(spec, sng, gen, n, length)
-        done += n
-    return total / samples * 100.0
+    return _mse(op, sng, length, samples, seed, chunk, jobs, pool)

@@ -45,6 +45,8 @@ __all__ = [
     "max_or",
     "div_cordiv",
     "div_jk",
+    "cordiv_step",
+    "jk_step",
     "not_stream",
 ]
 
@@ -208,18 +210,20 @@ class _ByteScanner:
         return Bitstream.from_packed(res, x.length, backend=x.backend)
 
 
-def _cordiv_step(state, x_bit, y_bit):
+def cordiv_step(state, x_bit, y_bit):
+    """One CORDIV cycle on 0/1 arrays: ``(out_bit, next_state)``."""
     out = (y_bit & x_bit) | ((1 - y_bit) & state)
     return out, out
 
 
-def _jk_step(state, j_bit, k_bit):
+def jk_step(state, j_bit, k_bit):
+    """One JK flip-flop cycle on 0/1 arrays: ``(out_bit, next_state)``."""
     state = (j_bit & (1 - state)) | ((1 - k_bit) & state)
     return state, state
 
 
-_CORDIV_SCANNER = _ByteScanner(_cordiv_step)
-_JK_SCANNER = _ByteScanner(_jk_step)
+_CORDIV_SCANNER = _ByteScanner(cordiv_step)
+_JK_SCANNER = _ByteScanner(jk_step)
 
 
 def div_cordiv(x: Bitstream, y: Bitstream) -> Bitstream:

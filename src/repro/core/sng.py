@@ -9,18 +9,21 @@ implemented:
   :class:`~repro.core.rng.SobolRng` (QRNG) or
   :class:`~repro.core.rng.SoftwareRng` (the software baseline).
 
-* :class:`SegmentSng` — the *functional model* of the paper's IMSNG: a
-  true-random binary sequence (50% ones) is chopped into M-bit segments, each
-  segment is interpreted as an M-bit random number, and an MSB-first
-  greater-than comparison against the operand produces one stream bit per
-  segment.  The bit-exact, cost-counted in-memory execution of the same
-  algorithm lives in :mod:`repro.imsc.imsng`; this class provides the
-  reference semantics and is what Table I's "IMSNG" column evaluates.
+* :class:`SegmentSng` — the *functional model* of the paper's IMSNG: the
+  same comparator over a :class:`SegmentSource`, which chops a true-random
+  binary sequence (50% ones) into M-bit segments and reads each one
+  MSB-first as an M-bit random number; the operand is quantised to M bits
+  and the greater-than comparison produces one stream bit per segment.  The
+  bit-exact, cost-counted in-memory execution of the same algorithm lives
+  in :mod:`repro.imsc.imsng`; this class provides the reference semantics
+  and is what Table I's "IMSNG" column evaluates.
 
 Correlation control (Sec. II-B of the paper): operations such as subtraction,
 division, minimum and maximum need *correlated* inputs, which hardware obtains
-by sharing one RNG between both operands.  Both SNGs therefore expose
-``generate_correlated`` alongside ``generate``.
+by sharing one RNG between both operands.  :class:`ComparatorSng` therefore
+exposes ``generate_correlated`` and ``generate_pair`` alongside ``generate``;
+every SNG here inherits those three methods and differs only in its
+random-number source.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "IdealBitSource",
     "BiasedBitSource",
     "ComparatorSng",
+    "SegmentSource",
     "SegmentSng",
     "unary_stream",
 ]
@@ -164,7 +168,6 @@ class ComparatorSng:
         shape = np.shape(codes) + (length,) if np.shape(codes) else (length,)
         return Bitstream.from_bool(bits.reshape(shape))
 
-
     def generate_pair(self, x: Union[float, np.ndarray],
                       y: Union[float, np.ndarray], length: int,
                       correlated: bool) -> "tuple[Bitstream, Bitstream]":
@@ -199,15 +202,34 @@ class ComparatorSng:
                 Bitstream.from_bool(by.reshape(shape)))
 
 
-class SegmentSng:
+class SegmentSource(RandomSource):
+    """M-bit random numbers cut MSB-first from a raw bit source.
+
+    The IMSNG's random-number supply: the true-random bit sequence is
+    chopped into ``bits``-long segments and each segment, read MSB-first,
+    is one number.  ``integers(n)`` consumes exactly ``n * bits`` raw bits.
+    """
+
+    def __init__(self, bit_source: BitSource, bits: int):
+        super().__init__(bits)
+        self.bit_source = bit_source
+        self._weights = 1 << np.arange(bits - 1, -1, -1, dtype=np.int64)
+
+    def integers(self, count: int) -> np.ndarray:
+        raw = self.bit_source.random_bits(count * self.bits)
+        return raw.reshape(count, self.bits).astype(np.int64) @ self._weights
+
+
+class SegmentSng(ComparatorSng):
     """Functional model of the paper's IMSNG (Sec. III-A).
 
-    A true-random bit sequence is split into ``segment_bits``-long segments;
-    each segment, read MSB-first, is one M-bit random number ``RN``.  The
-    stream bit is the result of the greater-than comparison ``X_M > RN``
-    where ``X_M`` is the operand quantised to M bits — exactly the Boolean
-    network of Fig. 1(b), whose in-memory execution is modelled in
-    :mod:`repro.imsc.imsng`.
+    A comparator SNG over a :class:`SegmentSource`: each ``segment_bits``-long
+    segment of a true-random bit sequence is one M-bit random number ``RN``,
+    and the stream bit is ``X_M > RN`` where ``X_M`` is the operand quantised
+    to M bits — exactly the Boolean network of Fig. 1(b), whose in-memory
+    execution is modelled in :mod:`repro.imsc.imsng`.  For M < n the
+    quantisation drops LSBs (the in-memory comparator only sees M random
+    bits); for M > n the operand gains trailing zeros.
 
     Parameters
     ----------
@@ -226,65 +248,7 @@ class SegmentSng:
         self.bit_source = bit_source if bit_source is not None else IdealBitSource()
         self.segment_bits = segment_bits
         self.operand_bits = operand_bits
-
-    def _segments_to_ints(self, raw: np.ndarray) -> np.ndarray:
-        """Interpret rows of M raw bits as MSB-first integers."""
-        m = self.segment_bits
-        weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-        return raw.reshape(-1, m).astype(np.int64) @ weights
-
-    def _target_codes(self, x: np.ndarray) -> np.ndarray:
-        # Quantise the n-bit operand onto the M-bit comparison grid.  For
-        # M < n this drops LSBs (the in-memory comparator only sees M random
-        # bits); for M > n the operand gains trailing zeros.
-        return quantize(np.asarray(x, dtype=np.float64), self.segment_bits)
-
-    def generate(self, x: Union[float, np.ndarray], length: int) -> Bitstream:
-        """Independent streams: a fresh segment per element and bit."""
-        codes = self._target_codes(x)
-        flat = np.atleast_1d(codes).ravel()
-        total_bits = flat.size * length * self.segment_bits
-        raw = self.bit_source.random_bits(total_bits)
-        rn = self._segments_to_ints(raw).reshape(flat.size, length)
-        bits = flat[:, None] > rn
-        shape = np.shape(codes) + (length,) if np.shape(codes) else (length,)
-        return Bitstream.from_bool(bits.reshape(shape))
-
-    def generate_correlated(self, x: Union[float, np.ndarray],
-                            length: int) -> Bitstream:
-        """Correlated streams: one shared segment sequence for all elements."""
-        codes = self._target_codes(x)
-        flat = np.atleast_1d(codes).ravel()
-        raw = self.bit_source.random_bits(length * self.segment_bits)
-        rn = self._segments_to_ints(raw)
-        bits = flat[:, None] > rn[None, :]
-        shape = np.shape(codes) + (length,) if np.shape(codes) else (length,)
-        return Bitstream.from_bool(bits.reshape(shape))
-
-
-    def generate_pair(self, x: Union[float, np.ndarray],
-                      y: Union[float, np.ndarray], length: int,
-                      correlated: bool) -> "tuple[Bitstream, Bitstream]":
-        """Operand-pair generation with per-element correlation control."""
-        cx = np.atleast_1d(self._target_codes(x)).ravel()
-        cy = np.atleast_1d(self._target_codes(y)).ravel()
-        if cx.size != cy.size:
-            raise ValueError("operand batches must have the same size")
-        n = cx.size
-        m = self.segment_bits
-        if correlated:
-            raw = self.bit_source.random_bits(n * length * m)
-            rn = self._segments_to_ints(raw).reshape(n, length)
-            bx = cx[:, None] > rn
-            by = cy[:, None] > rn
-        else:
-            raw = self.bit_source.random_bits(2 * n * length * m)
-            rn = self._segments_to_ints(raw).reshape(2, n, length)
-            bx = cx[:, None] > rn[0]
-            by = cy[:, None] > rn[1]
-        shape = np.shape(x) + (length,) if np.shape(x) else (length,)
-        return (Bitstream.from_bool(bx.reshape(shape)),
-                Bitstream.from_bool(by.reshape(shape)))
+        super().__init__(SegmentSource(self.bit_source, segment_bits))
 
 
 def unary_stream(x: Union[float, np.ndarray], length: int) -> Bitstream:

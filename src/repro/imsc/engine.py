@@ -9,8 +9,12 @@ fault sites* of the in-memory implementation:
   is a fault-injection site at its gate's derived rate.  IMSNG-opt has fewer
   fault sites than IMSNG-naive because the flag ANDs move into the (ideal)
   latch path — an effect the ablation benches expose.
-* **SC ops** — one faulty sensing step per bulk-bitwise op; CORDIV division
-  runs its sequential latch recurrence with per-cycle fault sites.
+* **SC ops** — one faulty sensing step per bulk-bitwise op: every
+  single-step op is a row of one table (the :mod:`repro.core.ops` gate
+  plus its sensed scouting-logic gate) run through one sensing helper,
+  ``_sense``, which also builds the 3-step MUX.  The CORDIV and JK
+  dividers share one latch recurrence with per-cycle read fault sites,
+  parameterised by the flip-flop's per-bit step.
 * **S-to-B** — the reference-column/ADC path of
   :class:`~repro.imsc.stob.InMemoryStoB`.  ``cell_model`` selects its
   device-variability model: ``'per-bit'`` (default) is the historical
@@ -20,11 +24,12 @@ fault sites* of the in-memory implementation:
   magnitude cheaper on batched readouts (see :mod:`repro.imsc.stob`).
 
 Every stage also books its cost into an :class:`~repro.energy.model
-.EnergyLedger`, so an application run yields quality *and* latency/energy
-from one execution.  The engine duck-types the SNG interface
-(``generate`` / ``generate_pair`` / ``generate_correlated``) so it drops
-into :class:`~repro.core.flow.ScFlow` and the Monte-Carlo harness
-unchanged.
+.EnergyLedger` (one booking helper: the first instance on the critical
+path, the rest of the batch pipelined), so an application run yields
+quality *and* latency/energy from one execution.  The engine duck-types
+the SNG interface (``generate`` / ``generate_pair`` /
+``generate_correlated``) so it drops into :class:`~repro.core.flow.ScFlow`
+and the Monte-Carlo harness unchanged.
 
 Execution domains and the seeding contract
 ------------------------------------------
@@ -103,13 +108,18 @@ from .stob import InMemoryStoB
 
 __all__ = ["InMemorySCEngine", "EngineFactory"]
 
-_OP_GATES = {
-    "multiplication": "and",
-    "scaled_addition": "maj3",
-    "approx_addition": "or",
-    "abs_subtraction": "xor",
-    "minimum": "and",
-    "maximum": "or",
+#: The single-step bulk-bitwise ops by Table II row (``maj`` runs the
+#: ``scaled_addition`` row): the :mod:`repro.core.ops` function that defines
+#: the gate, and the scouting-logic gate whose sensing step is the op's one
+#: fault site.  The row name is also the op's cost key in
+#: :func:`~repro.imsc.cost.sc_op_cost`.
+_BULK_OPS = {
+    "multiplication": (scops.mul_and, "and"),
+    "scaled_addition": (scops.scaled_add_maj, "maj3"),
+    "approx_addition": (scops.add_or, "or"),
+    "abs_subtraction": (scops.sub_xor, "xor"),
+    "minimum": (scops.min_and, "and"),
+    "maximum": (scops.max_or, "or"),
 }
 
 
@@ -378,14 +388,17 @@ class InMemorySCEngine:
     def _codes(self, x) -> np.ndarray:
         return quantize(np.asarray(x, dtype=np.float64), self.segment_bits)
 
-    def _book_conversions(self, count: int, length: int) -> None:
-        # Energy scales with the stream footprint (one bit per column).
-        unit = imsng_conversion_cost(self.segment_bits, self.mode, self.costs,
-                                     width=length)
-        # First conversion on the critical path, the rest pipelined.
+    def _book(self, unit: EnergyLedger, count: int) -> None:
+        """Book ``count`` instances of ``unit``: the first on the critical
+        path, the rest pipelined behind it."""
         self.ledger.merge(unit)
         if count > 1:
             self.ledger.merge(unit.scaled(count - 1), overlapped=True)
+
+    def _book_conversions(self, count: int, length: int) -> None:
+        # Energy scales with the stream footprint (one bit per column).
+        self._book(imsng_conversion_cost(self.segment_bits, self.mode,
+                                         self.costs, width=length), count)
 
     def _reshape_out(self, stream: Bitstream, x) -> Bitstream:
         return stream.reshape(*np.shape(x))
@@ -425,135 +438,97 @@ class InMemorySCEngine:
     # SC operations (faulty bulk-bitwise execution)
     # ------------------------------------------------------------------
     def _book_op(self, op: str, length: int, batch: int) -> None:
-        unit = sc_op_cost(op, length, self.costs, width=length)
-        self.ledger.merge(unit)
-        if batch > 1:
-            self.ledger.merge(unit.scaled(batch - 1), overlapped=True)
+        self._book(sc_op_cost(op, length, self.costs, width=length), batch)
 
     def _unary_batch(self, s: Bitstream) -> int:
         return int(np.prod(s.batch_shape)) if s.batch_shape else 1
 
-    def _faulty_op(self, op_fn, gate: str, *streams: Bitstream) -> Bitstream:
-        """Run one backend-routed bulk op with a single sensed fault site.
+    def _sense(self, stream: Bitstream, gate: str) -> Bitstream:
+        """One faulty scouting-logic sensing step producing ``stream``.
 
-        The gate semantics live in :mod:`repro.core.ops` only; this helper
-        just injects the per-bit flip of the (one) faulty sensing step on
-        the op's output — in the word domain by default, through ``.bits``
-        under the per-bit oracle.
+        Flips each bit at ``gate``'s rate in the configured domain — on the
+        word payload by default, through ``.bits`` under the per-bit oracle
+        (both draw the same full-shape mask).  A fault-free engine returns
+        ``stream`` untouched and draws nothing.
         """
-        out = op_fn(*streams)
+        if self.fault_rates is None:
+            return stream
         if self.fault_domain == "bit":
-            return Bitstream(self._flip(out.bits, gate),
-                             backend=streams[0].backend)
-        return self._flip_batch(out, gate)
+            return Bitstream(self._flip(stream.bits, gate),
+                             backend=stream.backend)
+        return self._flip_batch(stream, gate)
+
+    def _bulk(self, row: str, *streams: Bitstream) -> Bitstream:
+        """One single-step bulk-bitwise op of :data:`_BULK_OPS`: the gate
+        semantics from :mod:`repro.core.ops`, one sensed fault site on its
+        output, and the row's cost booked per batch element."""
+        op_fn, gate = _BULK_OPS[row]
+        out = self._sense(op_fn(*streams), gate)
+        x = streams[0]
+        self._book_op(row, x.length, self._unary_batch(x))
+        return out
 
     def multiply(self, x: Bitstream, y: Bitstream) -> Bitstream:
-        if self.fault_rates is None:
-            out = scops.mul_and(x, y)
-        else:
-            out = self._faulty_op(scops.mul_and, "and", x, y)
-        self._book_op("multiplication", x.length, self._unary_batch(x))
-        return out
+        return self._bulk("multiplication", x, y)
 
     def scaled_add(self, x: Bitstream, y: Bitstream,
                    r: Optional[Bitstream] = None) -> Bitstream:
         if r is None:
             r = self.generate(np.full(x.batch_shape or (1,), 0.5), x.length)
             r = r.reshape(*x.batch_shape)
-        if self.fault_rates is None:
-            out = scops.scaled_add_maj(x, y, r)
-        else:
-            out = self._faulty_op(scops.scaled_add_maj, "maj3", x, y, r)
-        self._book_op("scaled_addition", x.length, self._unary_batch(x))
-        return out
+        return self._bulk("scaled_addition", x, y, r)
 
     def approx_add(self, x: Bitstream, y: Bitstream) -> Bitstream:
-        if self.fault_rates is None:
-            out = scops.add_or(x, y)
-        else:
-            out = self._faulty_op(scops.add_or, "or", x, y)
-        self._book_op("approx_addition", x.length, self._unary_batch(x))
-        return out
+        return self._bulk("approx_addition", x, y)
 
     def abs_subtract(self, x: Bitstream, y: Bitstream) -> Bitstream:
-        if self.fault_rates is None:
-            out = scops.sub_xor(x, y)
-        else:
-            out = self._faulty_op(scops.sub_xor, "xor", x, y)
-        self._book_op("abs_subtraction", x.length, self._unary_batch(x))
-        return out
+        return self._bulk("abs_subtraction", x, y)
 
     def minimum(self, x: Bitstream, y: Bitstream) -> Bitstream:
-        if self.fault_rates is None:
-            out = scops.min_and(x, y)
-        else:
-            out = self._faulty_op(scops.min_and, "and", x, y)
-        self._book_op("minimum", x.length, self._unary_batch(x))
-        return out
+        return self._bulk("minimum", x, y)
 
     def maximum(self, x: Bitstream, y: Bitstream) -> Bitstream:
-        if self.fault_rates is None:
-            out = scops.max_or(x, y)
-        else:
-            out = self._faulty_op(scops.max_or, "or", x, y)
-        self._book_op("maximum", x.length, self._unary_batch(x))
-        return out
+        return self._bulk("maximum", x, y)
+
+    def maj(self, x: Bitstream, y: Bitstream, z: Bitstream) -> Bitstream:
+        return self._bulk("scaled_addition", x, y, z)
 
     def divide(self, x: Bitstream, y: Bitstream) -> Bitstream:
-        """CORDIV on the peripheral latches, one faulty step per bit.
+        """CORDIV on the peripheral latches, one faulty read per bit."""
+        return self._latch(x, y, scops.cordiv_step, scops.div_cordiv)
 
-        The dense faulty path samples its two read masks per stream
-        position (``x_i`` then ``y_i``) — the latch-by-latch sensing order —
-        so the word-domain scan consumes the RNG exactly like the per-bit
-        oracle.  Under ``fault_sampling='sparse'`` each operand instead
-        draws one Binomial flip count and scatters the read upsets straight
-        into the packed payload.
+    def divide_jk(self, j: Bitstream, k: Bitstream) -> Bitstream:
+        """JK-flip-flop division ``j / (j + k)`` with per-cycle read faults."""
+        return self._latch(j, k, scops.jk_step, scops.div_jk)
+
+    def _latch(self, x: Bitstream, y: Bitstream, step, word_op) -> Bitstream:
+        """A sequential divider clocked on the peripheral latches.
+
+        Every latch cycle reads one bit of each operand through the faulty
+        sensing path, then clocks the ideal flip-flop:
+        ``out_i, state = step(state, x_i, y_i)``.  The per-bit oracle walks
+        exactly that recurrence.  The word domain flips whole payloads and
+        runs ``word_op``: dense masks are drawn per stream position (``x_i``
+        then ``y_i``, the latch-by-latch sensing order), so it consumes the
+        RNG exactly like the oracle; under ``fault_sampling='sparse'`` each
+        operand draws one Binomial flip count and scatters the read upsets
+        straight into the packed payload.
         """
-        p_read = self._rate("read")
         if self.fault_domain == "bit":
-            # Conformance oracle: the historical per-bit latch recurrence.
             xb, yb = x.bits, y.bits
             out = np.empty_like(xb)
             state = np.zeros(xb.shape[:-1], dtype=np.uint8)
             for i in range(x.length):
                 xi = self._flip(xb[..., i], "read")
                 yi = self._flip(yb[..., i], "read")
-                out_i = np.where(yi == 1, xi, state)
-                state = out_i
-                out[..., i] = out_i
+                out[..., i], state = step(state, xi, yi)
             result = Bitstream(out, backend=x.backend)
         else:
+            p_read = self._rate("read")
             if p_read > 0.0:
                 x, y = self._read_flip_pair(x, y, p_read)
-            result = scops.div_cordiv(x, y)
+            result = word_op(x, y)
         self._book_op("division", x.length, self._unary_batch(x))
-        return result
-
-    def divide_jk(self, j: Bitstream, k: Bitstream) -> Bitstream:
-        """JK-flip-flop division ``j / (j + k)`` with per-cycle read faults.
-
-        Same fault model as :meth:`divide`: every latch cycle reads the two
-        input bits through the (faulty) sensing path, then clocks the ideal
-        flip-flop.  The dense word path draws masks in the oracle's
-        ``j_i``-then-``k_i`` order (bit-identical per seed); the sparse
-        path scatters Binomial read upsets into the payloads.
-        """
-        p_read = self._rate("read")
-        if self.fault_domain == "bit":
-            jb, kb = j.bits, k.bits
-            out = np.empty_like(jb)
-            state = np.zeros(jb.shape[:-1], dtype=np.uint8)
-            for i in range(j.length):
-                ji = self._flip(jb[..., i], "read")
-                ki = self._flip(kb[..., i], "read")
-                state = (ji & (1 - state)) | ((1 - ki) & state)
-                out[..., i] = state
-            result = Bitstream(out, backend=j.backend)
-        else:
-            if p_read > 0.0:
-                j, k = self._read_flip_pair(j, k, p_read)
-            result = scops.div_jk(j, k)
-        self._book_op("division", j.length, self._unary_batch(j))
         return result
 
     def _read_flip_pair(self, x: Bitstream, y: Bitstream,
@@ -571,35 +546,20 @@ class InMemorySCEngine:
             my[..., i] = self._gen.random(bshape) < p_read
         return x.flip(mx), y.flip(my)
 
-    def maj(self, x: Bitstream, y: Bitstream, z: Bitstream) -> Bitstream:
-        if self.fault_rates is None:
-            out = scops.scaled_add_maj(x, y, z)
-        else:
-            out = self._faulty_op(scops.scaled_add_maj, "maj3", x, y, z)
-        self._book_op("scaled_addition", x.length, self._unary_batch(x))
-        return out
-
     def mux(self, sel: Bitstream, a: Bitstream, b: Bitstream) -> Bitstream:
         """2-to-1 MUX as three scouting-logic steps: 2 ANDs + OR.
 
         ``b`` when ``sel`` is 1.  Unlike the majority blend this is exact
         for any operand ordering and correlation, at 3x the sensing cost
-        (and 3 fault sites instead of 1).  The faulty path applies all
-        three flips in the configured domain — under ``'word'`` the operand
-        payloads never unpack.
+        (and 3 fault sites instead of 1).
         """
         if self.fault_rates is None:
             out = scops.mux2(sel, a, b)
-        elif self.fault_domain == "bit":
-            t1 = self._flip(sel.bits & b.bits, "and")
-            t2 = self._flip((1 - sel.bits) & a.bits, "and")
-            out = Bitstream(self._flip(t1 | t2, "or"), backend=a.backend)
         else:
-            t1 = self._flip_batch(sel & b, "and")
-            t2 = self._flip_batch(~sel & a, "and")
-            out = self._flip_batch(t1 | t2, "or")
-        batch = self._unary_batch(a)
-        self._book_op("mux2", a.length, batch)
+            t1 = self._sense(sel & b, "and")
+            t2 = self._sense(~sel & a, "and")
+            out = self._sense(t1 | t2, "or")
+        self._book_op("mux2", a.length, self._unary_batch(a))
         return out
 
     def op(self, name: str, x: Bitstream, y: Bitstream, **kw) -> Bitstream:

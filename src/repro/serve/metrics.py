@@ -291,7 +291,8 @@ class ServeMetrics:
             lines += [f"# HELP {c.name} {c.help}",
                       f"# TYPE {c.name} counter",
                       f"{c.name} {c.value}"]
-        for g in (self.requests_inflight, self.tiles_inflight):
+        for g in (self.requests_inflight, self.tiles_inflight,
+                  self.tasks_inflight):
             lines += [f"# HELP {g.name} {g.help}",
                       f"# TYPE {g.name} gauge",
                       f"{g.name} {g.value}",

@@ -88,7 +88,7 @@ class ServeRequest:
     """Bookkeeping for one in-flight request (internal to the scheduler)."""
 
     def __init__(self, req_id: int, plan: "_executor.TilePlan",
-                 future: "asyncio.Future") -> None:
+                 future: "asyncio.Future", t_admit: float) -> None:
         self.id = req_id
         self.plan = plan
         self.future = future
@@ -99,7 +99,7 @@ class ServeRequest:
         self.next_tile = 0
         self.completed = 0
         self.failed = False
-        self.t_admit = time.perf_counter()
+        self.t_admit = t_admit
         self.t_first_dispatch: Optional[float] = None
         self.counted = False   # metrics: finalized exactly once
 
@@ -233,8 +233,8 @@ class Scheduler:
                 True, queue_wait=0.0, exec_s=0.0,
                 latency_s=time.perf_counter() - t_admit)
             return _executor.stitch_tiles(plan, [])
-        request = ServeRequest(next(self._ids), plan, loop.create_future())
-        request.t_admit = t_admit
+        request = ServeRequest(next(self._ids), plan, loop.create_future(),
+                               t_admit)
         self.metrics.on_admit()
         self._outstanding.add(request.future)
         request.future.add_done_callback(self._outstanding.discard)
@@ -263,10 +263,6 @@ class Scheduler:
         whoever owns it.  Idempotent.
         """
         self.scene_store.close()
-
-    @property
-    def active_requests(self) -> int:
-        return len(self._round_robin)
 
     def stats(self) -> Dict[str, Any]:
         """Plain-JSON metrics snapshot plus pool state.

@@ -60,7 +60,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -70,7 +70,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     _posixshmem = None
 
 __all__ = ["SceneStore", "SceneTileRef", "SceneTicket", "scene_digest",
-           "fetch_tile", "attached_segments", "detach_all"]
+           "fetch_tile"]
 
 #: Shared-memory segment names are ``<prefix>-<digest12>-<pid>-<token>`` —
 #: greppable in ``/dev/shm`` so the hygiene tests can assert none outlive
@@ -293,11 +293,6 @@ class SceneStore:
         with self._lock:
             return len(self._scenes)
 
-    def segment_names(self) -> List[str]:
-        """Names of the live segments (the hygiene tests sweep these)."""
-        with self._lock:
-            return [s.shm.name for s in self._scenes.values()]
-
     def close(self) -> None:
         """Unlink every segment.  Final: outstanding references are void
         (only reachable at teardown, when no new tiles will dispatch)."""
@@ -468,19 +463,3 @@ def fetch_tile(ref: SceneTileRef) -> Dict[str, np.ndarray]:
         out[name] = view[r0:r1, c0:c1].copy().ravel()
     return out
 
-
-def attached_segments() -> List[str]:
-    """Names this process currently has attached (for tests)."""
-    return list(_ATTACHMENTS)
-
-
-def detach_all() -> int:
-    """Close every cached attachment; returns how many were open."""
-    n = len(_ATTACHMENTS)
-    while _ATTACHMENTS:
-        _, att = _ATTACHMENTS.popitem(last=False)
-        try:
-            att.close()
-        except BufferError:  # pragma: no cover - defensive
-            pass
-    return n

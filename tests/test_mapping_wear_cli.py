@@ -1,9 +1,12 @@
 """Tests for the mapping layer, wear tracking and the CLI."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.backend import get_backend, set_backend
 from repro.energy.nvmain import MemorySystem
 from repro.imsc.mapping import ScProgram, map_program
 from repro.reram.array import CrossbarArray
@@ -141,3 +144,26 @@ class TestCli:
     def test_bad_target(self):
         with pytest.raises(SystemExit):
             cli_main(["table9"])
+
+    # md5 of the full stdout of small runs: pins the application flow, the
+    # sharded Monte-Carlo driver and the IMSNG model's pair draws, and is
+    # independent of the execution backend.
+    @pytest.mark.parametrize("argv, digest", [
+        ("table4 --runs 1 --size 16 --preset oracle",
+         "db913fb7b7b4a5bdef2e43e75dfcc81d"),
+        ("table4 --runs 1 --size 16", "3e681790630865bed520a1ec4f55d4a3"),
+        ("table4 --runs 1 --size 16 --backend unpacked",
+         "3e681790630865bed520a1ec4f55d4a3"),
+        ("table1 --samples 400 --fault-sampling dense --cell-model per-bit",
+         "0075b6e18bc2a97546ce955044ef5e51"),
+        ("table2 --samples 400", "53ea0730a5679211cb854cd538f5cc0b"),
+    ], ids=["table4-oracle", "table4", "table4-unpacked", "table1-dense",
+            "table2"])
+    def test_output_digest(self, argv, digest, capsys):
+        backend = get_backend().name
+        try:
+            assert cli_main(argv.split()) == 0
+        finally:
+            set_backend(backend)   # --backend switches it process-wide
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == digest

@@ -127,6 +127,7 @@ class TestMetricPrimitives:
         m = ServeMetrics()
         m.on_admit()
         m.on_dispatch(queue_wait=0.25)
+        m.on_submit(1)
         m.on_tile_done()
         m.on_request_done(True, exec_s=0.5, latency_s=0.75)
         text = m.render_prometheus()
@@ -136,6 +137,8 @@ class TestMetricPrimitives:
         assert "serve_tasks_dispatched_total 1" in text
         assert "# TYPE serve_requests_inflight gauge" in text
         assert "serve_requests_inflight_hwm 1" in text
+        assert "serve_tasks_inflight 0\n" in text
+        assert "serve_tasks_inflight_hwm 1\n" in text
         assert 'serve_latency_seconds{quantile="0.5"} 0.75' in text
         assert "serve_queue_wait_seconds_count 1" in text
         assert text.endswith("\n")
@@ -245,7 +248,10 @@ class TestSchedulerMetrics:
                 t_big = asyncio.ensure_future(scheduler.submit_app(
                     "mean_filter", mean_filter_inputs(big), 64, tile=2,
                     seed=1))
-                await asyncio.sleep(0.02)
+                # cancel as soon as the first chunk is out: a fixed sleep
+                # can outlast all four chunks on a fast host
+                while not scheduler.dispatch_log and not t_big.done():
+                    await asyncio.sleep(0)
                 t_big.cancel()
                 await scheduler.submit_app(
                     "mean_filter", mean_filter_inputs(small), 32, tile=3,

@@ -425,7 +425,10 @@ class TestServingFailures:
                 big = asyncio.ensure_future(scheduler.submit_app(
                     "mean_filter", mean_filter_inputs(big_img), 128,
                     tile=2, seed=1))
-                await asyncio.sleep(0.02)
+                # cancel as soon as the first chunk is out: a fixed sleep
+                # can outlast all four chunks on a fast host
+                while not scheduler.dispatch_log and not big.done():
+                    await asyncio.sleep(0)
                 big.cancel()
                 # pool slots are freed and later requests still serve
                 out, _ = await scheduler.submit_app(
