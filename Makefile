@@ -7,29 +7,23 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test lint lint-changed test-unpacked test-packed test-faulty \
+.PHONY: test lint test-unpacked test-packed test-faulty \
 	test-serving bench-smoke bench-backend bench-apps bench-faults bench
 
 test: lint test-unpacked test-packed bench-smoke
 
 # Lint gate.  repro-lint (tools/repro_lint/, dependency-free) always
-# runs: it carries both the project-invariant rules (RL001-RL006 and
-# RL008; `--list-rules` prints them) and a stdlib mirror of the pyproject
-# ruff selection, so the hermetic container enforces the same floor as
-# CI.  When ruff is installed it
-# runs first for the richer diagnostics on the shared hygiene rules.
+# runs the whole tree: the project-invariant rules (RL001-RL006 and
+# RL008; `--list-rules` prints them) plus a stdlib mirror of the
+# pyproject ruff selection, so a host without ruff enforces the same
+# floor.  When ruff is installed it runs first, for the richer
+# diagnostics on the shared hygiene rules (and `ruff check --fix` for
+# the mechanical fixes).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		echo "ruff check"; ruff check .; \
 	fi
 	PYTHONPATH=tools $(PYTHON) -m repro_lint
-
-# Fast pre-push loop: lint only the files changed against REF (default
-# main).  Partial view — the unused-suppression and stale-baseline
-# checks are skipped; the full `make lint` gate still runs everything.
-REF ?= main
-lint-changed:
-	PYTHONPATH=tools $(PYTHON) -m repro_lint --changed-since $(REF)
 
 test-unpacked:
 	REPRO_BACKEND=unpacked $(PYTEST) -x -q

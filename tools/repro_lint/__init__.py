@@ -3,14 +3,20 @@
 A dependency-free, plugin-based analyzer that proves the codebase's
 runtime invariants at lint time: determinism (RL001), worker-pool pickle
 safety (RL002), the packed hot path never unpacking (RL003), a
-never-blocked serving event loop (RL004), paired shared-memory releases
-(RL005), derived seeds (RL006) and async concurrency (RL008) — plus the
-stdlib hygiene subset mirroring the ruff config
-(E9/F401/F811/W191/W291/W292).
+never-blocked event loop (RL004), paired shared-memory releases (RL005),
+derived seeds (RL006) and async concurrency (RL008) — plus the stdlib
+hygiene codes mirroring the ruff config (E9/F401/F811/W191/W291/W292).
+
+Each invariant has one implementation.  RL002 and RL004 run on the
+shared call graph, so a direct call is the zero-hop case of the same
+check: RL002 follows a callable forwarded through wrappers to the pool,
+and RL004 follows a sync helper chain down to a blocking call.  RL008
+keeps what only it checks (unawaited coroutines, dropped task handles,
+locks held across ``await``).
 
 Run ``python -m repro_lint --help`` (with ``tools/`` on ``PYTHONPATH``);
-``--explain RL00x`` prints the catalogue entry for a rule.  See ``engine.py`` for the suppression and baseline
-mechanics.
+``--explain RL00x`` prints the catalogue entry for a rule.  See
+``engine.py`` for the suppression and baseline mechanics.
 """
 
 from .engine import (

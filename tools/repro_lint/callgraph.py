@@ -176,6 +176,9 @@ class CallGraph:
             self.modules[name] = mod
             self.by_relpath[ctx.relpath] = mod
         self.functions: Dict[FuncKey, FunctionInfo] = {}
+        #: ``id(def node)`` → its FunctionInfo, for AST walkers that need
+        #: the graph function a call site resolves from
+        self.by_node: Dict[int, FunctionInfo] = {}
         for mod in self.modules.values():
             for fname, fnode in mod.functions.items():
                 self._add_function(mod, fname, fnode, None)
@@ -194,7 +197,7 @@ class CallGraph:
     def _add_function(self, mod: _Module, qualname: str, node: ast.AST,
                       class_name: Optional[str]) -> None:
         key = (mod.relpath, qualname)
-        self.functions[key] = FunctionInfo(
+        self.functions[key] = self.by_node[id(node)] = FunctionInfo(
             key=key, node=node,
             is_async=isinstance(node, ast.AsyncFunctionDef),
             class_name=class_name)

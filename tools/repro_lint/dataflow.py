@@ -19,7 +19,7 @@ nested def gets its own :class:`FunctionFlow` when a rule wants one.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 
 def _shallow_walk(func: ast.AST) -> Iterator[ast.AST]:
@@ -51,10 +51,7 @@ class FunctionFlow:
         #: names bound by constructs with no traceable value expression
         #: (for-targets, with-targets, comprehensions, except handlers)
         self.opaque: Set[str] = set()
-        self.calls: List[ast.Call] = []
         for node in _shallow_walk(func):
-            if isinstance(node, ast.Call):
-                self.calls.append(node)
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     self._bind_target(target, node.value)
@@ -150,40 +147,6 @@ class FunctionFlow:
         chase(expr, max_depth)
         return out
 
-    def derives_from_param(self, expr: ast.AST) -> bool:
-        """Does every origin of ``expr`` trace back to a parameter?
-
-        Attribute reads rooted on a parameter (``self._seed``,
-        ``config.seed``) and calls whose receiver or any argument is
-        itself parameter-derived (``seed_seq.spawn(2)``,
-        ``SeedSequence(seed)``) count as derived.
-        """
-        origins = self.origins(expr)
-        if not origins:
-            return False
-        return all(self._origin_is_derived(o) for o in origins)
-
-    def _origin_is_derived(self, node: ast.AST, depth: int = 8) -> bool:
-        if depth <= 0:
-            return False
-        if isinstance(node, ast.Name):
-            return node.id in self.params
-        if isinstance(node, ast.Attribute):
-            return self._origin_is_derived(node.value, depth - 1)
-        if isinstance(node, ast.Call):
-            parts: List[ast.AST] = []
-            if isinstance(node.func, ast.Attribute):
-                parts.append(node.func.value)   # receiver
-            parts.extend(node.args)
-            parts.extend(k.value for k in node.keywords)
-            return any(
-                any(self._origin_is_derived(o, depth - 1)
-                    for o in self.origins(p))
-                for p in parts)
-        if isinstance(node, ast.Subscript):
-            return self._origin_is_derived(node.value, depth - 1)
-        return False
-
 
 def literal_int(node: ast.AST) -> Optional[int]:
     """The value of an integer-literal expression, else ``None``."""
@@ -196,18 +159,3 @@ def literal_int(node: ast.AST) -> Optional[int]:
         inner = literal_int(node.operand)
         return inner if inner is None or isinstance(inner, int) else None
     return None
-
-
-def functions_in(tree: ast.AST) -> Iterator[Tuple[ast.AST, bool]]:
-    """Yield every function def in a module with an is-method flag."""
-    todo: List[Tuple[ast.AST, bool]] = [(tree, False)]
-    while todo:
-        node, in_class = todo.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, in_class
-                todo.append((child, False))
-            elif isinstance(child, ast.ClassDef):
-                todo.append((child, True))
-            else:
-                todo.append((child, in_class))

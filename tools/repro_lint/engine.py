@@ -243,7 +243,9 @@ class Project:
         """The shared module-resolving :class:`~.callgraph.CallGraph`.
 
         Built lazily on first request and reused by every project rule
-        in the run (RL003 reachability, RL008's transitive walks).
+        in the run (RL003 reachability, RL002's forwarded pool
+        boundaries, RL004's blocking chains, RL008's coroutine
+        resolution).
         """
         graph = self.cache.get("callgraph")
         if graph is None:
@@ -414,24 +416,16 @@ class Result:
 
 def run_sources(files: Sequence[Tuple[str, str]], *,
                 baseline: Optional[Sequence[BaselineEntry]] = None,
-                select: Optional[Sequence[str]] = None,
-                subset: bool = False) -> Result:
+                select: Optional[Sequence[str]] = None) -> Result:
     """Run every (selected) rule over ``(relpath, source)`` pairs.
 
     ``select`` limits the run to the named codes (prefix match, like
     ruff's select).  The unused-suppression and stale-baseline checks only
     apply on full runs — on a partial run a suppression for an unselected
     rule is not evidence of rot.
-
-    ``subset=True`` declares the *file set* partial (``--changed-since``):
-    all rules run, but the unused-suppression and stale-baseline checks
-    are skipped — a suppression justified by a project-rule finding
-    rooted in an unlisted file, or a baseline entry for an unlisted
-    file, is not evidence of rot either.
     """
     load_plugins()
     full_run = select is None
-    complete = full_run and not subset
 
     def selected(code: str) -> bool:
         return full_run or any(code.startswith(s) for s in select)
@@ -471,7 +465,7 @@ def run_sources(files: Sequence[Tuple[str, str]], *,
             suppressed.append((f, sup))
         else:
             visible.append(f)
-    if complete:
+    if full_run:
         for ctx in contexts:
             for s in ctx.suppressions:
                 if not s.used:
@@ -497,7 +491,7 @@ def run_sources(files: Sequence[Tuple[str, str]], *,
             else:
                 remaining.append(f)
         visible = remaining
-        if complete:
+        if full_run:
             for b in baseline:
                 if b.matched == 0:
                     visible.append(Finding(
@@ -518,8 +512,7 @@ def _line_contains(project: Project, f: Finding, fragment: str) -> bool:
 
 def run_paths(paths: Sequence[str], *, root: pathlib.Path = REPO,
               baseline: Optional[Sequence[BaselineEntry]] = None,
-              select: Optional[Sequence[str]] = None,
-              subset: bool = False) -> Result:
+              select: Optional[Sequence[str]] = None) -> Result:
     """Discover files under ``paths`` and lint them (the CLI's core)."""
     files: List[Tuple[str, str]] = []
     unreadable: List[Finding] = []
@@ -530,8 +523,7 @@ def run_paths(paths: Sequence[str], *, root: pathlib.Path = REPO,
         except (OSError, UnicodeDecodeError) as exc:
             unreadable.append(Finding(relpath, 0, "E902",
                                       f"unreadable: {exc}"))
-    result = run_sources(files, baseline=baseline, select=select,
-                         subset=subset)
+    result = run_sources(files, baseline=baseline, select=select)
     if unreadable:
         result = Result(sorted(result.findings + unreadable),
                         result.suppressed, result.baselined,

@@ -22,20 +22,3 @@ def call_name(node: ast.Call) -> Optional[str]:
     """Dotted name of a call's callee (``np.random.rand`` for that call)."""
     return dotted(node.func)
 
-
-def enclosing_function(ctx, node: ast.AST) -> Optional[ast.AST]:
-    """The nearest enclosing (async or plain) function definition."""
-    for _, parent in ctx.ancestors(node):
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return parent
-    return None
-
-
-def in_async_body(ctx, node: ast.AST) -> bool:
-    """True when the *nearest* enclosing function is ``async def``.
-
-    A sync ``def`` nested inside an ``async def`` shields its body: that
-    code runs wherever the closure is called (often ``run_in_executor``),
-    not on the event loop.
-    """
-    return isinstance(enclosing_function(ctx, node), ast.AsyncFunctionDef)

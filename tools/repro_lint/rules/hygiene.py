@@ -1,4 +1,4 @@
-"""Stdlib hygiene rules: the ruff-mirror subset (E9/F401/F811/W19x/W29x).
+"""Stdlib hygiene rules: the ruff-mirror codes (E9/F401/F811/W19x/W29x).
 
 Lets a container without ruff enforce the same set pyproject.toml
 selects for ruff.  Keep :data:`repro_lint.engine.RUFF_SELECT` and the

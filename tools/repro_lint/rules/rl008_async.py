@@ -1,17 +1,15 @@
-"""RL008 — whole-program async-concurrency defects.
+"""RL008 — async-concurrency defects only the call graph can see.
 
-RL004 catches blocking calls written *directly* inside an ``async def``.
-The serving bugs that actually bite are one step removed: the coroutine
-that was never awaited (it silently does nothing), the
-``create_task``/``ensure_future`` whose result is dropped (the task can
-be garbage-collected mid-flight and its exception is swallowed), the
-thread lock held across an ``await`` (every other coroutine needing the
-lock deadlocks behind the suspended holder), the innocuous sync helper
-that hides a ``time.sleep`` three calls deep, and the lambda that rides
-a helper into the worker-pool pickle boundary.
+RL004 owns blocking on the loop and RL002 the pickle boundary, at any
+call depth.  This rule keeps the concurrency bugs neither of them
+describes: the coroutine that was never awaited (it silently does
+nothing), the ``create_task``/``ensure_future`` whose result is dropped
+(the task can be garbage-collected mid-flight and its exception is
+swallowed), and the thread lock held across an ``await`` (every other
+coroutine needing the lock deadlocks behind the suspended holder).
 
-All of these need the whole-program view, so this rule runs on the
-shared call graph (:meth:`~repro_lint.engine.Project.call_graph`):
+It runs on the shared call graph
+(:meth:`~repro_lint.engine.Project.call_graph`):
 
 * **unawaited coroutine** — a statement-position call that resolves to
   an ``async def``;
@@ -22,29 +20,16 @@ shared call graph (:meth:`~repro_lint.engine.Project.call_graph`):
   ``threading.Lock``-family constructor) whose body contains ``await``
   inside an ``async def``; ``async with`` never matches.  This is also
   the refcount hazard: the scene-store pin counts are guarded by these
-  locks, so holding one across a suspension point stalls every release;
-* **transitive blocking** — a call inside an ``async def`` to a sync
-  function from which the graph can reach a blocking call (RL004's
-  catalogue).  Blocking calls already silenced by a justified
-  RL004/RL008 suppression at their own line do not count as sources;
-* **transitive pickle boundary** — RL002's check extended through the
-  graph: a parameter that is forwarded (possibly through several hops)
-  into ``pool_map``/``.submit``/``.map``/``run_tiled(kernel=)``/
-  ``EngineFactory`` marks its position as a boundary, and passing a
-  lambda / nested function / local bound method there is flagged at the
-  outermost call site.  Direct boundary calls stay RL002's finding.
+  locks, so holding one across a suspension point stalls every release.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List
 
-from ..callgraph import CallGraph, FuncKey, FunctionInfo
-from ..engine import FileContext, Finding, Project, Rule, register
-from ._util import call_name
-from .rl002_pickle import _classify, _offending_args, _Scope
-from .rl004_async import _BLOCKING_BUILTINS, _BLOCKING_CALLS
+from ..callgraph import CallGraph
+from ..engine import Finding, Project, Rule, register
 
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 _LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore",
@@ -58,8 +43,7 @@ def _src_scope(relpath: str) -> bool:
 # ---------------------------------------------------------------------------
 # component: unawaited coroutines + dropped task handles
 # ---------------------------------------------------------------------------
-def _stmt_position_calls(graph: CallGraph,
-                         project: Project) -> Iterable[Finding]:
+def _stmt_position_calls(graph: CallGraph) -> Iterable[Finding]:
     for key in sorted(graph.functions):
         info = graph.functions[key]
         if not _src_scope(info.relpath):
@@ -136,172 +120,18 @@ def _lock_across_await(graph: CallGraph) -> Iterable[Finding]:
                     f"awaiting, or use asyncio.Lock with async with")
 
 
-# ---------------------------------------------------------------------------
-# component: blocking calls reachable from async call sites
-# ---------------------------------------------------------------------------
-def _blocking_call_in(info: FunctionInfo,
-                      ctx: Optional[FileContext]) -> Optional[str]:
-    """Name of an unsuppressed blocking call directly in this body."""
-    silenced: Set[int] = set()
-    if ctx is not None:
-        for s in ctx.suppressions:
-            if any(c in ("RL004", "RL008") for c in s.codes):
-                silenced.add(s.target_line)
-    for node in ast.walk(info.node):
-        if not isinstance(node, ast.Call) or node.lineno in silenced:
-            continue
-        name = call_name(node)
-        if name in _BLOCKING_CALLS or name in _BLOCKING_BUILTINS:
-            return name
-    return None
-
-
-def _transitive_blocking(graph: CallGraph,
-                         project: Project) -> Iterable[Finding]:
-    direct: Dict[FuncKey, str] = {}
-    for key, info in graph.functions.items():
-        name = _blocking_call_in(info, project.by_path.get(info.relpath))
-        if name is not None:
-            direct[key] = name
-    # propagate: blocks[f] = the blocking call some callee chain reaches
-    blocks: Dict[FuncKey, str] = dict(direct)
-    callers = graph.callers()
-    queue = list(direct)
-    while queue:
-        key = queue.pop(0)
-        for caller in callers.get(key, ()):
-            if caller not in blocks:
-                blocks[caller] = blocks[key]
-                queue.append(caller)
-    for key in sorted(graph.functions):
-        info = graph.functions[key]
-        if not info.is_async or not _src_scope(info.relpath):
-            continue
-        mod = graph.by_relpath[info.relpath]
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            target = graph.resolve_call(mod, node, info)
-            if (target is None or target.is_async
-                    or target.key not in blocks):
-                continue
-            yield Finding(
-                info.relpath, node.lineno, "RL008",
-                f"async {info.qualname}() calls {target.qualname}(), "
-                f"which reaches blocking {blocks[target.key]}(...) "
-                f"through the call graph: the event loop parks for the "
-                f"full duration — move the chain off-loop via "
-                f"run_in_executor")
-
-
-# ---------------------------------------------------------------------------
-# component: pickle boundary, transitively
-# ---------------------------------------------------------------------------
-def _param_names(info: FunctionInfo) -> List[str]:
-    a = info.node.args
-    names = [x.arg for x in a.posonlyargs + a.args]
-    if info.class_name is not None and names and names[0] in ("self",
-                                                              "cls"):
-        names = names[1:]
-    return names
-
-
-def _boundary_params(graph: CallGraph) -> Dict[FuncKey, Set[str]]:
-    """Fixpoint: parameters that flow into a worker-pool boundary."""
-    boundary: Dict[FuncKey, Set[str]] = {}
-    for key, info in graph.functions.items():
-        params = set(_param_names(info)) | {
-            x.arg for x in info.node.args.kwonlyargs}
-        found = {arg.id for node in ast.walk(info.node)
-                 if isinstance(node, ast.Call)
-                 for arg, _ in _offending_args(node)
-                 if isinstance(arg, ast.Name) and arg.id in params}
-        if found:
-            boundary[key] = found
-    changed = True
-    while changed:
-        changed = False
-        for key, info in graph.functions.items():
-            params = set(_param_names(info)) | {
-                x.arg for x in info.node.args.kwonlyargs}
-            mod = graph.by_relpath[info.relpath]
-            for call in (n for n in ast.walk(info.node)
-                         if isinstance(n, ast.Call)):
-                if _offending_args(call):
-                    continue   # direct boundary: handled above / RL002
-                target = graph.resolve_call(mod, call, info)
-                if target is None or target.key not in boundary:
-                    continue
-                for arg, pname in _call_bindings(target, call):
-                    if (pname in boundary[target.key]
-                            and isinstance(arg, ast.Name)
-                            and arg.id in params
-                            and arg.id not in boundary.get(key, set())):
-                        boundary.setdefault(key, set()).add(arg.id)
-                        changed = True
-    return boundary
-
-
-def _call_bindings(target: FunctionInfo,
-                   call: ast.Call) -> Iterable[Tuple[ast.AST, str]]:
-    """(argument expression, parameter name) pairs of one call site."""
-    names = _param_names(target)
-    for i, arg in enumerate(call.args):
-        if isinstance(arg, ast.Starred):
-            break
-        if i < len(names):
-            yield arg, names[i]
-    for kw in call.keywords:
-        if kw.arg is not None:
-            yield kw.value, kw.arg
-
-
-def _transitive_pickle(graph: CallGraph) -> Iterable[Finding]:
-    boundary = _boundary_params(graph)
-    for key in sorted(graph.functions):
-        info = graph.functions[key]
-        if not _src_scope(info.relpath):
-            continue
-        mod = graph.by_relpath[info.relpath]
-        scopes = [_Scope(info.node)]
-        for call in (n for n in ast.walk(info.node)
-                     if isinstance(n, ast.Call)):
-            if _offending_args(call):
-                continue   # the direct boundary is RL002's finding
-            target = graph.resolve_call(mod, call, info)
-            if target is None or target.key not in boundary:
-                continue
-            for arg, pname in _call_bindings(target, call):
-                if pname not in boundary[target.key]:
-                    continue
-                why = _classify(arg, scopes)
-                if why is not None:
-                    yield Finding(
-                        info.relpath, arg.lineno, "RL008",
-                        f"{why} passed to {target.qualname}"
-                        f"({pname}=...), which forwards it across the "
-                        f"worker-pool pickle boundary: not picklable "
-                        f"under spawn/forkserver — use a module-level "
-                        f"function")
-
-
 def _check(project: Project) -> Iterable[Finding]:
     graph = project.call_graph()
-    findings: List[Finding] = []
-    findings.extend(_stmt_position_calls(graph, project))
-    findings.extend(_lock_across_await(graph))
-    findings.extend(_transitive_blocking(graph, project))
-    findings.extend(_transitive_pickle(graph))
-    return findings
+    return [*_stmt_position_calls(graph), *_lock_across_await(graph)]
 
 
 register(Rule(
     code="RL008", name="async-concurrency",
-    summary="Whole-program async/pickle hazards via the shared call graph.",
+    summary="No unawaited coroutines, dropped task handles, or locks "
+            "held across await.",
     explain="""\
 Runs on the shared module-resolving call graph over src/repro/ and
-flags five whole-program concurrency defects RL002/RL004 cannot see
-file-locally:
+flags three async-concurrency defects:
 
 * a statement-position call that resolves to an `async def` — the
   coroutine is built and discarded, nothing ever runs;
@@ -311,16 +141,9 @@ file-locally:
 * a synchronous `with <lock>:` whose body awaits, inside an
   `async def` — the holder suspends while every other coroutine and
   thread queues on the lock (the scene-store pin counts sit behind
-  exactly such locks); `async with asyncio.Lock()` never matches;
-* a call inside an `async def` to a sync function from which the graph
-  reaches one of RL004's blocking calls (time.sleep, subprocess,
-  urllib, open, ...) any number of hops away.  A blocking call already
-  silenced by a justified RL004/RL008 suppression at its own line is
-  not counted as a source;
-* RL002's pickle-boundary check, transitively: parameters forwarded
-  (through any number of resolved hops) into pool_map / .submit /
-  .map / run_tiled(kernel=) / EngineFactory mark boundary positions,
-  and a lambda, nested function, or local bound method passed there is
-  flagged at the outermost call site.  Calls that *are* the boundary
-  stay RL002 findings — this rule only adds the hops.""",
+  exactly such locks); `async with asyncio.Lock()` never matches.
+
+Blocking calls reached from the loop are RL004's findings, and
+unpicklable arguments forwarded to the pool are RL002's, at any number
+of hops.""",
     project_check=_check))
