@@ -10,22 +10,26 @@ Determinism contract
 --------------------
 * The tile grid depends only on the image shape and ``tile`` — never on
   ``jobs`` — and tiles are stitched by index.
-* Per-tile RNGs derive from ``numpy.random.SeedSequence(seed).spawn(n)``,
-  so tile *i* sees the same random stream no matter which worker runs it or
-  how many workers exist.  ``jobs=1`` (in-process) and ``jobs=N`` (process
-  pool) therefore produce bit-identical images.
+* Tile *i* seeds from ``SeedSequence(seed, spawn_key=(i,))`` — the same
+  sequence as the *i*-th child ``SeedSequence(seed)`` spawns — so it sees
+  the same random stream whichever worker or chunk runs it and however
+  many workers exist.  ``jobs=1`` (in-process) and ``jobs=N`` (process pool)
+  therefore produce bit-identical images.
 * Tiled output differs from the untiled whole-image run (each tile has its
   own random-row fill) but is itself a fixed function of
   ``(seed, tile, image)``.
 
-Workers receive only picklable primitives (arrays, the kernel name, engine
-kwargs, a child ``SeedSequence``) and re-select the execution backend by
-name, so the pool behaves identically under ``fork`` and ``spawn`` start
-methods — and the start method is pinned explicitly (``mp_context``
-argument, resolved via :func:`repro.serve.pool.default_mp_context`) rather
-than left to the interpreter's mutable global default.  The same
-:func:`pool_map` primitive backs the Monte-Carlo accuracy harness's
-sharded :func:`repro.core.accuracy.op_mse` path.
+A pool task is ``(job, start, windows)``: one :class:`TileJob` request
+header (its scene is the caller's arrays in process, else a
+:class:`repro.serve.transport.SceneRef`) plus the windows of tiles
+``start, start + 1, ...``; a one-tile task is the per-tile oracle.
+Workers re-select the execution backend by name, so the pool behaves
+identically under ``fork`` and ``spawn`` start methods — and the start
+method is pinned explicitly (``mp_context`` argument, resolved via
+:func:`repro.serve.pool.default_mp_context`) rather than left to the
+interpreter's mutable global default.  The same :func:`pool_map` primitive
+backs the Monte-Carlo accuracy harness's sharded
+:func:`repro.core.accuracy.op_mse` path.
 
 Pool reuse and serving
 ----------------------
@@ -37,8 +41,8 @@ through), so request-serving workloads pay worker startup once.  The
 request decomposition itself is exposed as :func:`build_tile_tasks` /
 :func:`stitch_tiles`; the asyncio serving layer
 (:mod:`repro.serve.scheduler`) uses exactly these to interleave chunks of
-tiles (run by :func:`_run_tiles`) from concurrent requests onto one shared
-pool while preserving the per-request determinism contract above.
+tiles (``plan.task(start, stop)``) from concurrent requests onto one
+shared pool while preserving the per-request determinism contract above.
 
 Beyond the three evaluation applications, :data:`KERNELS` registers the
 four SC image filters of :mod:`repro.apps.filters`; filter-specific
@@ -53,6 +57,7 @@ remain as overrides, and with neither the fast preset
 
 from __future__ import annotations
 
+import contextlib
 from typing import (
     Any,
     Callable,
@@ -80,8 +85,8 @@ from .filters import (
 from .interpolation import upscale_sc_kernel
 from .matting import matting_sc_kernel
 
-__all__ = ["tile_grid", "run_tiled", "pool_map", "KERNELS", "TilePlan",
-           "build_tile_tasks", "stitch_tiles"]
+__all__ = ["tile_grid", "run_tiled", "pool_map", "KERNELS", "TileJob",
+           "TilePlan", "build_tile_tasks", "stitch_tiles"]
 
 #: Flat per-tile kernels, keyed by app/filter name.  Each takes ``(engine,
 #: **named 1-D arrays, length=..., **kernel_kwargs)`` and returns a 1-D
@@ -151,51 +156,53 @@ def pool_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
         return one_shot.map(fn, tasks)
 
 
-def _run_tile(task: Tuple[str, str, Any, int,
-                          Dict[str, Any], Dict[str, Any],
-                          np.random.SeedSequence]
-              ) -> Tuple[np.ndarray, EnergyLedger]:
-    """Execute one tile: fresh engine, deterministic child RNG.
-
-    The third task element is either a dict of 1-D tile arrays sliced
-    in the parent (plans built without a scene store) or a
-    :class:`repro.serve.transport.SceneTileRef`: the worker then attaches
-    to the published scene segment and copies out just its tile window,
-    bit-identically to the parent-side slice.
+class TileJob(NamedTuple):
+    """One request's header, shipped once per pool task.  ``scene`` is the
+    caller's dict of 2-D arrays or a :class:`repro.serve.transport.SceneRef`.
     """
-    (backend_name, kernel_name, arrays, length, engine_kwargs,
-     kernel_kwargs, child) = task
-    if not isinstance(arrays, dict):   # SceneTileRef: resolve via shm
-        from ..serve.transport import fetch_tile
-        arrays = fetch_tile(arrays)
-    set_backend(backend_name)
-    engine = InMemorySCEngine(rng=np.random.default_rng(child),
-                              **engine_kwargs)
-    out = KERNELS[kernel_name](engine, length=length, **arrays,
-                               **kernel_kwargs)
-    return np.asarray(out, dtype=np.float64), engine.ledger
+
+    backend: str
+    kernel: str
+    length: int
+    seed: int
+    engine_kwargs: Dict[str, Any]
+    kernel_kwargs: Dict[str, Any]
+    scene: Any
 
 
-def _run_tiles(tasks: Sequence[Tuple]
+def _run_tiles(task: Tuple[TileJob, int, Sequence[Tuple[int, int, int, int]]]
                ) -> List[Tuple[np.ndarray, EnergyLedger]]:
-    """Execute a chunk of tile tasks in order, as one pool task.
+    """Run one pool task ``(job, start, windows)``: tiles ``start, ...``.
 
-    Each tile still runs through :func:`_run_tile` — its own child RNG,
-    its own fresh engine, its own :data:`KERNELS` lookup — so a chunk
-    yields exactly the results its tiles would one by one; only the
-    pool round trips are shared.
+    Each tile *i* gets its own window copy, its own engine seeded from
+    ``SeedSequence(job.seed, spawn_key=(i,))`` and its own
+    :data:`KERNELS` lookup, so a chunk yields exactly what its tiles
+    would one by one; only the pool round trip is shared.
     """
-    return [_run_tile(task) for task in tasks]
+    from ..serve import transport   # deferred: serve sits above apps
+    job, start, windows = task
+    set_backend(job.backend)
+    results = []
+    for i, window in enumerate(windows, start):
+        arrays = transport.fetch_tile(job.scene, window)
+        child = np.random.SeedSequence(job.seed, spawn_key=(i,))
+        engine = InMemorySCEngine(rng=np.random.default_rng(child),
+                                  **job.engine_kwargs)
+        out = KERNELS[job.kernel](engine, length=job.length, **arrays,
+                                  **job.kernel_kwargs)
+        results.append((np.asarray(out, dtype=np.float64), engine.ledger))
+    return results
 
 
 class TilePlan(NamedTuple):
     """A tiled request, decomposed into self-contained worker tasks.
 
-    Produced by :func:`build_tile_tasks`; ``tasks[i]`` is the picklable
-    argument :func:`_run_tile` expects for grid cell ``grid[i]``, and
-    :func:`stitch_tiles` reassembles the per-tile results.  The plan is a
-    pure function of ``(kernel, inputs, length, tile, seed, kwargs)`` —
-    executing its tasks in any order, on any pool, yields the same image.
+    Produced by :func:`build_tile_tasks`; ``task(start, stop)`` is the
+    picklable argument :func:`_run_tiles` expects for grid cells
+    ``grid[start:stop]``, and :func:`stitch_tiles` reassembles the
+    per-tile results.  The plan is a pure function of ``(kernel, inputs,
+    length, tile, seed, kwargs)`` — executing its tasks in any order, on
+    any pool, yields the same image.
 
     ``scene`` is the scene-store accounting ticket
     (:class:`repro.serve.transport.SceneTicket`) of a plan built with a
@@ -204,11 +211,14 @@ class TilePlan(NamedTuple):
     store carry ``None``.
     """
 
-    kernel: str
     shape: Tuple[int, int]
     grid: List[Tuple[int, int, int, int]]
-    tasks: List[Tuple]
+    job: TileJob
     scene: Optional[Any] = None
+
+    def task(self, start: int, stop: int) -> Tuple:
+        """The pool task running tiles ``start`` to ``stop - 1``."""
+        return self.job, start, self.grid[start:stop]
 
 
 def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
@@ -219,7 +229,7 @@ def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
                      backend: Optional[str] = None,
                      scene_store: Optional[Any] = None,
                      scene: Optional[str] = None) -> TilePlan:
-    """Validate one tiled request and decompose it into per-tile tasks.
+    """Validate one tiled request and decompose it into a :class:`TilePlan`.
 
     This is the request-side half of :func:`run_tiled` (the other half is
     :func:`stitch_tiles`); the serving scheduler calls it directly so that
@@ -235,38 +245,38 @@ def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
     engine's model axes; explicit arguments and ``engine_kwargs`` keys
     override the config field-by-field (see
     :meth:`RunConfig.merged_engine_kwargs` for the one bit→dense
-    coercion).
+    coercion).  Explicit ``tile``/``seed``/``backend`` values are checked
+    like the config fields they override, so a bad one fails by name.
 
-    Task forms
-    ----------
-    * Without ``scene_store`` every task carries its tile's array slices
-      — the in-process and one-shot-pool batch path of ``run_tiled``.
+    Scene forms
+    -----------
+    * Without ``scene_store`` the tasks carry the caller's arrays — the
+      in-process path of ``run_tiled``.
     * ``scene_store=`` (a :class:`repro.serve.transport.SceneStore`):
       the inputs are published once into shared memory (content-addressed
       — a repeated scene is a cache hit shipping zero bytes) and tasks
-      carry only tile *references*.  The returned plan's
-      ``scene.digest`` holds one store reference the caller must
-      ``release`` after the request resolves (the scheduler and
-      ``run_tiled`` both do).
+      carry only a :class:`~repro.serve.transport.SceneRef`.  The
+      returned plan's ``scene.digest`` holds one store reference the
+      caller must ``release`` after the request resolves (the scheduler
+      and ``run_tiled`` both do).
     * ``scene=`` (a digest string, requires ``scene_store``): build the
       plan for an already-published scene without the arrays at all —
       the ``put_scene`` handle path; ``inputs`` must then be ``None``.
 
-    Both forms produce bit-identical output: the worker-side tile copy
-    matches the parent-side ``.copy().ravel()`` exactly.
+    Both forms produce bit-identical output: every tile is cut by the
+    same :func:`repro.serve.transport.fetch_tile`.
     """
+    from ..serve import transport   # deferred: serve sits above apps
     if kernel not in KERNELS:
         raise ValueError(f"unknown tile kernel {kernel!r}")
-    cfg = RunConfig.resolve(config)
-    if tile is None:
-        tile = cfg.tile
-    if tile is None:
+    cfg = RunConfig.resolve(config).replace(**{
+        name: value for name, value in
+        (("tile", tile), ("seed", seed), ("backend", backend))
+        if value is not None})
+    if cfg.tile is None:
         raise ValueError("a tile size is required: pass tile= or set it "
                          "on the config")
-    if seed is None:
-        seed = cfg.seed
-    if backend is None:
-        backend = cfg.backend
+    backend = get_backend(cfg.backend).name
     engine_kwargs = cfg.merged_engine_kwargs(engine_kwargs)
     if scene is not None:
         if scene_store is None:
@@ -281,49 +291,27 @@ def build_tile_tasks(kernel: str, inputs: Optional[Dict[str, np.ndarray]],
         # inside this try: any exception before the plan is returned must
         # drop the store reference, or the scene never unlinks (RL005).
         if scene is not None:
-            fields, (height, width) = scene_store.checkout(scene)
-            from ..serve.transport import SceneTicket
-            ticket = SceneTicket(scene, True, 0)
-            input_names = [name for name, _, _, _ in fields]
+            ref, (height, width) = scene_store.checkout(scene)
+            ticket = transport.SceneTicket(scene, True, 0, ref)
+            input_names = [name for name, _, _, _ in ref.fields]
         else:
-            shapes = {v.shape for v in inputs.values()}
-            if len(shapes) != 1 or any(len(s) != 2 for s in shapes):
-                raise ValueError("tiled inputs must share one 2-D shape")
-            (height, width), = shapes
+            height, width = transport.scene_shape(inputs)
             input_names = list(inputs)
-        grid = tile_grid(height, width, tile)
-        children = np.random.SeedSequence(seed).spawn(len(grid))
-        backend_name = get_backend(backend).name
+        grid = tile_grid(height, width, cfg.tile)
         kernel_kwargs = dict(kernel_kwargs or {})
         validate_task_kwargs(kernel, input_names, engine_kwargs,
                              kernel_kwargs)
-        if scene_store is not None:
-            if ticket is None:
-                ticket = scene_store.publish(inputs)
-            tasks = [
-                (backend_name, kernel,
-                 scene_store.tile_ref(ticket.digest, window),
-                 length, engine_kwargs, kernel_kwargs, children[i])
-                for i, window in enumerate(grid)
-            ]
-        else:
-            # .copy(): full-width slices would otherwise ravel to *views*
-            # of the caller's buffer, and an in-process kernel must never
-            # alias (or write through to) the caller's input.
-            tasks = [
-                (backend_name, kernel,
-                 {name: arr[r0:r1, c0:c1].copy().ravel()
-                  for name, arr in inputs.items()},
-                 length, engine_kwargs, kernel_kwargs, children[i])
-                for i, (r0, r1, c0, c1) in enumerate(grid)
-            ]
+        if ticket is None and scene_store is not None:
+            ticket = scene_store.publish(inputs)
+        job = TileJob(backend, kernel, length, cfg.seed, engine_kwargs,
+                      kernel_kwargs, inputs if ticket is None else ticket.ref)
     except BaseException:
         # A rejected request must not strand the store reference taken by
         # checkout() / publish() above.
         if ticket is not None:
             scene_store.release(ticket.digest)
         raise
-    return TilePlan(kernel, (height, width), grid, tasks, ticket)
+    return TilePlan((height, width), grid, job, ticket)
 
 
 def stitch_tiles(plan: TilePlan,
@@ -373,7 +361,8 @@ def run_tiled(kernel: str, inputs: Dict[str, np.ndarray], length: int, *,
     jobs:
         Worker processes; ``1`` executes in-process (no pool, same bits).
     seed:
-        Root seed for the per-tile ``SeedSequence`` spawn.
+        Root seed: tile *i* seeds from ``SeedSequence(seed,
+        spawn_key=(i,))``.
     engine_kwargs:
         Extra :class:`InMemorySCEngine` constructor arguments (fault rates,
         fault domain, fault sampling, cell model, ...) applied to every
@@ -393,11 +382,11 @@ def run_tiled(kernel: str, inputs: Dict[str, np.ndarray], length: int, *,
     mp_context:
         Start method for the one-shot pool (see :func:`pool_map`).
     scene_store:
-        Optional :class:`repro.serve.transport.SceneStore`: publish the
-        inputs into shared memory and hand the workers tile *references*
-        instead of array slices, as the serving scheduler does.  Output
-        is bit-identical either way; back-to-back calls over one store
-        and one resident ``pool`` re-ship nothing for a repeated scene.
+        Optional :class:`repro.serve.transport.SceneStore` to publish the
+        inputs into, as the serving scheduler does; calls over one store
+        re-ship nothing for a repeated scene.  Without one, a run with
+        ``pool`` or ``jobs > 1`` publishes into a temporary store, and an
+        in-process run reads the caller's arrays.  Same bits either way.
 
     Returns
     -------
@@ -405,15 +394,24 @@ def run_tiled(kernel: str, inputs: Dict[str, np.ndarray], length: int, *,
     tile ledgers.  The ledger models total device work and is independent
     of ``jobs``; host-side wall-clock parallelism is not a hardware cost.
     """
+    from ..serve.transport import SceneStore   # deferred: serve above apps
     cfg = RunConfig.resolve(config)
-    plan = build_tile_tasks(kernel, inputs, length, config=cfg, tile=tile,
-                            seed=seed, engine_kwargs=engine_kwargs,
-                            kernel_kwargs=kernel_kwargs,
-                            scene_store=scene_store)
-    try:
-        results = pool_map(_run_tile, plan.tasks, jobs, pool=pool,
-                           mp_context=mp_context, config=cfg)
-    finally:
-        if plan.scene is not None:
-            scene_store.release(plan.scene.digest)
-    return stitch_tiles(plan, results)
+    jobs = cfg.jobs if jobs is None else jobs
+    # Tasks that leave the process carry a shm scene reference, not arrays.
+    own_store = scene_store is None and (pool is not None or jobs != 1)
+    with (SceneStore() if own_store
+          else contextlib.nullcontext(scene_store)) as store:
+        plan = build_tile_tasks(kernel, inputs, length, config=cfg,
+                                tile=tile, seed=seed,
+                                engine_kwargs=engine_kwargs,
+                                kernel_kwargs=kernel_kwargs,
+                                scene_store=store)
+        tasks = [plan.task(i, i + 1) for i in range(len(plan.grid))]
+        try:
+            chunks = pool_map(_run_tiles, tasks, jobs, pool=pool,
+                              mp_context=mp_context, config=cfg)
+        finally:
+            if plan.scene is not None:
+                store.release(plan.scene.digest)
+    return stitch_tiles(plan, [result for chunk in chunks
+                               for result in chunk])

@@ -27,7 +27,7 @@ through :mod:`repro.apps.executor` across ``jobs`` worker processes — the
 software analogue of per-mat execution.  Seeding contract: the untiled run
 (``tile=None``, the default) draws every stream from ``default_rng(seed)``
 in a fixed order and is bit-reproducible against earlier releases; tiled
-runs give tile *i* the *i*-th child of ``SeedSequence(seed).spawn(n)``, so
+runs seed tile *i* from ``SeedSequence(seed, spawn_key=(i,))``, so
 results depend on the tile grid but **not** on ``jobs`` — ``jobs=1`` and
 ``jobs=8`` are bit-identical.
 """

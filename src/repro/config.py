@@ -62,7 +62,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from .core.backend import available_backends
 
-__all__ = ["RunConfig", "field_choices", "validate_task_kwargs"]
+__all__ = ["RunConfig", "field_choices", "field_minimum",
+           "validate_task_kwargs"]
 
 
 def _axis(default: Any, help: str, *,
@@ -86,6 +87,11 @@ def field_choices(field: dataclasses.Field) -> Optional[List[str]]:
     if callable(choices):
         choices = choices()
     return None if choices is None else list(choices)
+
+
+def field_minimum(name: str) -> Optional[int]:
+    """The declared lower bound of integer RunConfig field ``name``."""
+    return RunConfig.__dataclass_fields__[name].metadata["minimum"]
 
 
 def _check_field(field: dataclasses.Field, value: Any) -> None:
@@ -154,7 +160,7 @@ class RunConfig:
     seed: int = _axis(
         0, "root seed of the deterministic per-tile / per-chunk "
         "SeedSequence spawn; must be an integer, because a None/float "
-        "seed would make output silently nondeterministic")
+        "seed would make output silently nondeterministic", minimum=0)
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):

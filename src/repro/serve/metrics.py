@@ -23,8 +23,8 @@ Counted quantities
                suite asserts the two agree), completed, in-flight + hwm;
                every count is in tiles, whichever chunk carried them.
 ``tasks``      pool tasks dispatched and their in-flight hwm: one task
-               ships a chunk of up to ``CHUNK_PIXELS // tile_area``
-               contiguous tiles of one request (see
+               ships one request header plus the windows of up to
+               ``CHUNK_PIXELS // tile_area`` contiguous tiles (see
                :mod:`repro.serve.scheduler`), so tasks <= tiles, and
                ``max_inflight`` bounds tasks, not tiles.
 ``pool``       restarts (worker-death respawns by the scheduler).

@@ -2,9 +2,9 @@
 
 :class:`Scheduler` is the serving counterpart of the batch entry point
 :func:`repro.apps.executor.run_tiled`.  A request
-(:meth:`Scheduler.submit_app`) is decomposed into per-tile tasks by the
-same :func:`~repro.apps.executor.build_tile_tasks` the batch path uses,
-the tasks are dispatched onto a resident :class:`~repro.serve.pool.WorkerPool`,
+(:meth:`Scheduler.submit_app`) is planned by the same
+:func:`~repro.apps.executor.build_tile_tasks` the batch path uses, its
+tiles are dispatched onto a resident :class:`~repro.serve.pool.WorkerPool`,
 and the results are reassembled by the same
 :func:`~repro.apps.executor.stitch_tiles` — so a served request is
 **bit-identical** to ``run_tiled`` with the same ``(kernel, inputs,
@@ -14,17 +14,17 @@ Fairness
 --------
 The scheduler ships a request's tiles to the pool in *chunks*: up to
 ``k = max(1, CHUNK_PIXELS // tile_area)`` contiguous tiles travel as one
-pool task (:func:`~repro.apps.executor._run_tiles`), so a small request
-pays one IPC round trip instead of one per tile.  The chunk is the unit
-of fairness: the scheduler keeps at most ``max_inflight`` (default: pool
-capacity) pool tasks submitted at once and picks the next chunk
-**round-robin across active requests**, so a 1000-tile scene admitted
-first cannot starve a 4-tile request admitted a moment later: while both
-are active their chunks alternate onto the workers.  Dispatch order is
-deterministic given the admission order (``dispatch_log`` records it,
-one entry per tile, for the test suite); results are never
-order-sensitive, as each tile's RNG derives from its request's
-``SeedSequence`` child alone, whichever chunk carries it.
+pool task (``plan.task(start, stop)``: one request header plus the
+tiles' windows), so a small request pays one IPC round trip instead of
+one per tile.  The chunk is the unit of fairness: the scheduler keeps at
+most ``max_inflight`` (default: pool capacity) pool tasks submitted at
+once and picks the next chunk **round-robin across active requests**, so
+a 1000-tile scene admitted first cannot starve a 4-tile request admitted
+a moment later: while both are active their chunks alternate onto the
+workers.  Dispatch order is deterministic given the admission order
+(``dispatch_log`` records it, one entry per tile, for the test suite);
+results are never order-sensitive, as each tile's RNG derives from its
+request's seed and its own grid index alone, whichever chunk carries it.
 
 Failure containment
 -------------------
@@ -93,7 +93,7 @@ class ServeRequest:
         self.plan = plan
         self.future = future
         self.results: List[Optional[Tuple[np.ndarray, EnergyLedger]]] = \
-            [None] * len(plan.tasks)
+            [None] * len(plan.grid)
         r0, r1, c0, c1 = plan.grid[0]
         self.chunk = max(1, CHUNK_PIXELS // ((r1 - r0) * (c1 - c0)))
         self.next_tile = 0
@@ -105,14 +105,14 @@ class ServeRequest:
 
     @property
     def has_pending(self) -> bool:
-        return not self.failed and self.next_tile < len(self.plan.tasks)
+        return not self.failed and self.next_tile < len(self.plan.grid)
 
-    def take(self) -> Tuple[int, List[Tuple]]:
-        """The next chunk: up to ``chunk`` contiguous tile tasks, and the
-        grid index of the first."""
-        idx = self.next_tile
-        self.next_tile = min(idx + self.chunk, len(self.plan.tasks))
-        return idx, self.plan.tasks[idx:self.next_tile]
+    def take(self) -> Tuple[int, int]:
+        """The next chunk: grid indices ``[start, stop)`` of up to
+        ``chunk`` contiguous tiles."""
+        start = self.next_tile
+        self.next_tile = min(start + self.chunk, len(self.plan.grid))
+        return start, self.next_tile
 
 
 class Scheduler:
@@ -126,8 +126,9 @@ class Scheduler:
     Every request's scene ships through the scheduler's own
     content-addressed shared-memory
     :class:`~repro.serve.transport.SceneStore` (``scheduler.scene_store``):
-    a repeated scene is a cache hit shipping zero bytes, and tile tasks
-    carry references instead of copied arrays.  :meth:`close` unlinks it.
+    a repeated scene is a cache hit shipping zero bytes, and pool tasks
+    carry a scene reference instead of copied arrays.  :meth:`close`
+    unlinks it.
 
     Parameters
     ----------
@@ -222,7 +223,7 @@ class Scheduler:
         self.metrics.on_scene(plan.scene.hit, plan.scene.bytes_shipped)
         # Requests rejected during task building never count as admitted:
         # they touched neither the pool nor the dispatch loop.
-        if not plan.tasks:
+        if not plan.grid:
             # Degenerate inputs (a zero-area 2-D shape) produce an empty
             # grid; resolve now exactly as run_tiled would — completion
             # otherwise only happens inside a tile callback that never
@@ -315,12 +316,11 @@ class Scheduler:
                 continue
             if not request.has_pending:
                 continue
-            idx, chunk = request.take()
+            idx, stop = request.take()
             if request.has_pending:
                 self._round_robin.append(request)
-            n = len(chunk)
-            self.dispatch_log.extend((request.id, i)
-                                     for i in range(idx, idx + n))
+            n = stop - idx
+            self.dispatch_log.extend((request.id, i) for i in range(idx, stop))
             now = time.perf_counter()
             queue_wait = None
             if request.t_first_dispatch is None:
@@ -328,7 +328,8 @@ class Scheduler:
                 queue_wait = now - request.t_admit
             self.metrics.on_dispatch(n, queue_wait)
             try:
-                fut = self.pool.submit(_executor._run_tiles, chunk)
+                fut = self.pool.submit(_executor._run_tiles,
+                                       request.plan.task(idx, stop))
             except Exception as exc:   # broken/closed pool at submit time
                 self._fail(request, exc)
                 self._revive_pool()
@@ -361,7 +362,7 @@ class Scheduler:
             elif not request.failed:
                 request.results[idx:idx + n] = fut.result()
                 request.completed += n
-                if request.completed == len(request.plan.tasks):
+                if request.completed == len(request.plan.grid):
                     request.future.set_result(
                         _executor.stitch_tiles(request.plan,
                                                request.results))

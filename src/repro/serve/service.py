@@ -31,9 +31,10 @@ Run request (``"type": "run"``, the default when ``type`` is omitted)::
   ``xor2``/``maj3``/``read``) — decoded into the dataclass here, so
   faulty engines are reachable over the wire.
 * ``seed``, ``length`` and ``tile`` must be JSON integers (``length``
-  and ``tile`` at least 1); nothing is coerced.  A ``null`` seed would
-  reach the engine as "draw OS entropy", silently making served output
-  nondeterministic — the one thing the serving layer promises not to be.
+  and ``tile`` at least 1, ``seed`` at least 0); nothing is coerced.  A
+  ``null`` seed would reach the engine as "draw OS entropy", silently
+  making served output nondeterministic — the one thing the serving
+  layer promises not to be.
 * Unknown keys are rejected with an ``ok: false`` response naming them;
   a silently ignored key (the pre-fix behaviour for ``backend``) means a
   client believes it pinned something it didn't.
@@ -86,7 +87,7 @@ from typing import Any, Dict, Optional, TextIO, Tuple
 
 import numpy as np
 
-from ..config import RunConfig
+from ..config import RunConfig, field_minimum
 from ..reram.faults import GateFaultRates
 from .pool import WorkerPool, serving_pool
 from .scheduler import Scheduler
@@ -119,6 +120,18 @@ def _json_int(raw: Dict[str, Any], key: str,
     return value
 
 
+def _decode_inputs(raw: Dict[str, Any]) -> Dict[str, np.ndarray]:
+    """``raw["inputs"]``, a JSON object of named arrays, as float64 arrays."""
+    if "inputs" not in raw:
+        raise ValueError("request is missing 'inputs'")
+    inputs = raw["inputs"]
+    if not isinstance(inputs, dict):
+        raise ValueError(f"inputs must be a JSON object of named arrays, "
+                         f"got {type(inputs).__name__}")
+    return {name: np.asarray(arr, dtype=np.float64)
+            for name, arr in inputs.items()}
+
+
 def decode_request(raw: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a parsed run-request object into ``submit_app`` kwargs.
 
@@ -147,22 +160,18 @@ def decode_request(raw: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError(f"scene must be a digest string, got {scene!r}")
     if scene is not None and "inputs" in raw:
         raise ValueError("pass either 'inputs' or 'scene', not both")
-    required = ("kernel", "length") if scene is not None \
-        else ("kernel", "inputs", "length")
-    for key in required:
+    for key in ("kernel", "length"):
         if key not in raw:
             raise ValueError(f"request is missing {key!r}")
     if "tile" not in raw and (config is None or config.tile is None):
         raise ValueError("request is missing 'tile'")
     length = _json_int(raw, "length", minimum=1)
-    tile = _json_int(raw, "tile", minimum=1)
-    seed = _json_int(raw, "seed")   # None: the config's, else the server's
+    tile, seed = (_json_int(raw, key, minimum=field_minimum(key))
+                  for key in ("tile", "seed"))   # None: the config's
     backend = raw.get("backend")
     if backend is not None and not isinstance(backend, str):
         raise ValueError(f"backend must be a string, got {backend!r}")
-    inputs = None if scene is not None else {
-        name: np.asarray(arr, dtype=np.float64)
-        for name, arr in raw["inputs"].items()}
+    inputs = None if scene is not None else _decode_inputs(raw)
     engine_kwargs = dict(raw.get("engine_kwargs") or {})
     rates = engine_kwargs.get("fault_rates")
     if isinstance(rates, dict):
@@ -297,11 +306,7 @@ def serve_stdio(in_stream: Optional[TextIO] = None,
                         raise ValueError(
                             f"unknown put_scene key(s): "
                             f"{', '.join(map(repr, extra))}")
-                    if "inputs" not in raw:
-                        raise ValueError("put_scene is missing 'inputs'")
-                    inputs = {name: np.asarray(arr, dtype=np.float64)
-                              for name, arr in raw["inputs"].items()}
-                    digest = scheduler.put_scene(inputs)
+                    digest = scheduler.put_scene(_decode_inputs(raw))
                     await respond(json.dumps(
                         {"id": req_id, "ok": True, "scene": digest},
                         allow_nan=False))

@@ -1,22 +1,20 @@
 """Zero-copy shared-memory scene transport for the serving stack.
 
-Before this module every served request round-tripped its payload the
-slow way: :func:`repro.apps.executor.build_tile_tasks` copied each tile
-slice out of the scene arrays and pickled them through the pool's task
-pipe, so a client streaming requests over the *same* scene re-shipped the
-whole image on every request.  :class:`SceneStore` removes that ceiling:
+A pool task never carries scene arrays: copying tile slices into every
+task would re-ship the whole image on each request over the *same*
+scene.  :class:`SceneStore` is the one way a scene leaves the process:
 
 * the front-end publishes a scene's input arrays **once** into a
   ``multiprocessing.shared_memory`` segment, keyed by a content digest
   (SHA-256 over names, shapes, dtypes and raw bytes) — publishing the
   same scene again is a cache *hit* that ships zero bytes;
-* tile tasks carry only a tiny picklable :class:`SceneTileRef`
-  (``digest``, segment name, field table, ``(r0, r1, c0, c1)`` window)
-  instead of copied arrays;
-* workers attach to a segment lazily (:func:`fetch_tile`), cache the
-  attachment in a bounded LRU, and copy out just their tile window — the
-  scene bytes cross the process boundary through the page cache, not the
-  pickle pipe.
+* a request's task header carries only a tiny picklable
+  :class:`SceneRef` (segment name and field table), and each tile only
+  its ``(r0, r1, c0, c1)`` window;
+* workers attach to a segment lazily, cache the attachment in a bounded
+  LRU, and copy out just their tile window (:func:`fetch_tile`, which
+  cuts in-process dict scenes the same way) — the scene bytes cross the
+  process boundary through the page cache, not the pickle pipe.
 
 Lifetime and hygiene contracts
 ------------------------------
@@ -60,7 +58,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from multiprocessing import shared_memory
-from typing import Any, Dict, NamedTuple, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -69,8 +67,8 @@ try:   # CPython's POSIX shared-memory primitive (what SharedMemory wraps)
 except ImportError:  # pragma: no cover - non-POSIX platform
     _posixshmem = None
 
-__all__ = ["SceneStore", "SceneTileRef", "SceneTicket", "scene_digest",
-           "fetch_tile"]
+__all__ = ["SceneStore", "SceneRef", "SceneTicket", "scene_digest",
+           "scene_shape", "fetch_tile"]
 
 #: Shared-memory segment names are ``<prefix>-<digest12>-<pid>-<token>`` —
 #: greppable in ``/dev/shm`` so the hygiene tests can assert none outlive
@@ -94,19 +92,31 @@ def scene_digest(inputs: Dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-class SceneTileRef(NamedTuple):
-    """Picklable reference one tile task carries instead of copied arrays.
+def scene_shape(inputs: Dict[str, np.ndarray]) -> Tuple[int, int]:
+    """The one 2-D shape a scene's named arrays share, else ValueError."""
+    shapes = {np.shape(arr) for arr in inputs.values()}
+    if len(shapes) != 1 or any(len(s) != 2 for s in shapes):
+        raise ValueError("tiled inputs must share one 2-D shape")
+    return shapes.pop()
+
+
+class SceneRef(NamedTuple):
+    """Picklable stand-in for a published scene's dict of arrays.
 
     ``fields`` is the scene's layout table: ``(name, offset, shape,
     dtype_str)`` per input array, all sharing one 2-D ``shape`` inside the
-    segment named ``shm_name``.  ``window`` is the tile's ``(r0, r1, c0,
-    c1)`` bounds; :func:`fetch_tile` resolves the reference in the worker.
+    segment named ``shm_name``.
     """
 
-    digest: str
     shm_name: str
     fields: Tuple[Tuple[str, int, Tuple[int, ...], str], ...]
-    window: Tuple[int, int, int, int]
+
+    def items(self) -> List[Tuple[str, np.ndarray]]:
+        """``(name, read-only 2-D view)`` per field, as a dict scene's."""
+        buf = _attach(self.shm_name).buf
+        return [(name, np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf,
+                                  offset=offset))
+                for name, offset, shape, dtype in self.fields]
 
 
 class SceneTicket(NamedTuple):
@@ -115,25 +125,26 @@ class SceneTicket(NamedTuple):
     ``digest`` names the scene reference the request must ``release``.
     ``hit`` says whether the scene bytes were already resident;
     ``bytes_shipped`` counts what actually crossed a process boundary for
-    the scene — the full input bytes on a miss, zero on a hit.
+    the scene — the full input bytes on a miss, zero on a hit.  ``ref``
+    is the :class:`SceneRef` the request's tasks carry.
     """
 
     digest: str
     hit: bool
     bytes_shipped: int
+    ref: SceneRef
 
 
 class _Scene:
     """One resident scene: its segment, layout, and reference counts."""
 
-    __slots__ = ("shm", "fields", "shape", "nbytes", "refs", "cached",
+    __slots__ = ("shm", "ref", "shape", "nbytes", "refs", "cached",
                  "pins")
 
-    def __init__(self, shm: shared_memory.SharedMemory,
-                 fields: Tuple[Tuple[str, int, Tuple[int, ...], str], ...],
+    def __init__(self, shm: shared_memory.SharedMemory, ref: SceneRef,
                  shape: Tuple[int, ...], nbytes: int) -> None:
         self.shm = shm
-        self.fields = fields
+        self.ref = ref
         self.shape = shape
         self.nbytes = nbytes
         self.refs = 0      # in-flight requests holding this scene
@@ -198,9 +209,9 @@ class SceneStore:
     # ------------------------------------------------------------------
     def publish(self, inputs: Dict[str, np.ndarray]) -> SceneTicket:
         """Ensure a scene is resident; returns its ticket with one
-        reference taken (the caller's request must ``release`` it)."""
-        if not inputs:
-            raise ValueError("cannot publish an empty scene")
+        reference taken (the caller's request must ``release`` it).
+        A scene :func:`scene_shape` rejects is never published."""
+        scene_shape(inputs)
         digest = scene_digest(inputs)
         with self._lock:
             self._ensure_open()
@@ -209,7 +220,7 @@ class SceneStore:
                 scene.refs += 1
                 self._scenes.move_to_end(digest)
                 self.hits += 1
-                return SceneTicket(digest, True, 0)
+                return SceneTicket(digest, True, 0, scene.ref)
             scene = self._create(digest, inputs)
             scene.refs = 1
             scene.cached = self.max_cached_scenes > 0
@@ -217,13 +228,13 @@ class SceneStore:
             self.misses += 1
             self.bytes_shipped += scene.nbytes
             self._evict()
-            return SceneTicket(digest, False, scene.nbytes)
+            return SceneTicket(digest, False, scene.nbytes, scene.ref)
 
-    def checkout(self, digest: str) -> Tuple[Tuple, Tuple[int, ...]]:
+    def checkout(self, digest: str) -> Tuple[SceneRef, Tuple[int, ...]]:
         """Take one reference on an already-resident scene by digest.
 
-        Returns ``(fields, shape)`` so a tile plan can be built without
-        the arrays.  Raises :class:`KeyError` with a client-readable
+        Returns ``(ref, shape)`` so a tile plan can be built without the
+        arrays.  Raises :class:`KeyError` with a client-readable
         message when the digest is unknown or already expired.
         """
         with self._lock:
@@ -236,7 +247,7 @@ class SceneStore:
             scene.refs += 1
             self._scenes.move_to_end(digest)
             self.hits += 1
-            return scene.fields, scene.shape
+            return scene.ref, scene.shape
 
     def release(self, digest: str) -> None:
         """Drop one request reference; unlink when nothing holds the scene."""
@@ -303,10 +314,6 @@ class SceneStore:
             _finalize_scenes(self._scenes)
         self._finalizer.detach()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __enter__(self) -> "SceneStore":
         return self
 
@@ -323,10 +330,7 @@ class SceneStore:
     def _create(self, digest: str, inputs: Dict[str, np.ndarray]) -> _Scene:
         arrays = {name: np.ascontiguousarray(arr)
                   for name, arr in inputs.items()}
-        shapes = {a.shape for a in arrays.values()}
-        if len(shapes) != 1:
-            raise ValueError("scene inputs must share one shape")
-        (shape,) = shapes
+        (shape,) = {a.shape for a in arrays.values()}
         fields = []
         offset = 0
         for name in sorted(arrays):
@@ -339,7 +343,7 @@ class SceneStore:
             view = np.ndarray(fshape, dtype=np.dtype(dtype),
                               buffer=shm.buf, offset=off)
             view[...] = arrays[name]
-        return _Scene(shm, tuple(fields), shape, offset)
+        return _Scene(shm, SceneRef(shm.name, tuple(fields)), shape, offset)
 
     def _new_segment(self, digest: str,
                      size: int) -> shared_memory.SharedMemory:
@@ -373,17 +377,6 @@ class SceneStore:
             scene = self._scenes[victim]
             scene.cached = False
             self._maybe_unlink(victim, scene)
-
-    # ------------------------------------------------------------------
-    # plan-side helpers
-    # ------------------------------------------------------------------
-    def tile_ref(self, digest: str,
-                 window: Tuple[int, int, int, int]) -> SceneTileRef:
-        """Build one tile's reference (the caller holds a reference)."""
-        with self._lock:
-            scene = self._scenes[digest]
-            return SceneTileRef(digest, scene.shm.name, scene.fields,
-                                window)
 
 
 # ----------------------------------------------------------------------
@@ -446,20 +439,15 @@ def _attach(shm_name: str) -> _Attachment:
     return att
 
 
-def fetch_tile(ref: SceneTileRef) -> Dict[str, np.ndarray]:
-    """Resolve one tile reference into named 1-D arrays (worker side).
+def fetch_tile(scene: Any, window: Tuple[int, int, int, int]
+               ) -> Dict[str, np.ndarray]:
+    """Cut one tile window out of a scene into named 1-D arrays.
 
-    Attaches to the scene segment (cached across tasks of the same
-    worker), then copies out just the tile window per field — the copy
-    both isolates the kernel from the shared bytes and matches the copy
-    mode's ``.copy().ravel()`` layout bit for bit.
+    ``scene`` is a dict of named 2-D arrays or a :class:`SceneRef` (its
+    attachment cached per worker); both yield the same tile bit for bit.
+    The ``.copy()`` keeps kernels off the caller's or the shared bytes
+    (a full-width slice would otherwise ravel to a view).
     """
-    att = _attach(ref.shm_name)
-    r0, r1, c0, c1 = ref.window
-    out = {}
-    for (name, offset, shape, dtype) in ref.fields:
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=att.buf,
-                          offset=offset)
-        out[name] = view[r0:r1, c0:c1].copy().ravel()
-    return out
-
+    r0, r1, c0, c1 = window
+    return {name: arr[r0:r1, c0:c1].copy().ravel()
+            for name, arr in scene.items()}

@@ -312,6 +312,35 @@ class TestRL004BlockingInAsync:
             """)])
         assert res.clean
 
+    def test_factory_that_only_defines_an_off_loop_closure_is_clean(self):
+        res = _run([("src/repro/serve/fake.py", """\
+            def make_writer(path):
+                def write():
+                    with open(path, "w") as fh:
+                        fh.write("done")
+                return write
+
+
+            async def handle(loop, path):
+                await loop.run_in_executor(None, make_writer(path))
+            """)])
+        assert res.clean
+
+    def test_nested_def_its_factory_calls_still_blocks(self):
+        res = _run([("src/repro/serve/fake.py", """\
+            def outer():
+                def inner():
+                    return open("x").read()
+                return inner()
+
+
+            async def handle():
+                return outer()
+            """)])
+        assert _codes(res) == ["RL004"]
+        assert res.findings[0].line == 8
+        assert "open" in res.findings[0].message
+
     def test_flags_direct_blocking_call_outside_serve_scope(self):
         res = _run([("src/repro/core/fake.py", """\
             import subprocess
@@ -433,6 +462,17 @@ class TestRL006SeedFlow:
         assert _codes(res) == ["RL006"]
         assert res.findings[0].line == 5
         assert "literal integer seed 1234" in res.findings[0].message
+
+    def test_literal_seed_keeps_its_sign(self):
+        res = _run([("src/repro/fake.py", """\
+            import numpy as np
+
+
+            def sample():
+                return np.random.default_rng(-5)
+            """)])
+        assert _codes(res) == ["RL006"]
+        assert "literal integer seed -5" in res.findings[0].message
 
     def test_flags_seed_laundered_through_a_local(self):
         res = _run([("src/repro/fake.py", """\

@@ -329,6 +329,26 @@ class TestStatsRoundTrips:
         assert snap["pool_restarts"] == 0
         assert snap["pool"]["capacity"] == 1
 
+    def test_unusable_inputs_rejected_by_name(self):
+        requests = [
+            {"id": "flat", "type": "put_scene",
+             "inputs": {"image": [0.1, 0.2]}},
+            {"id": "list", "type": "put_scene", "inputs": [[0.1]]},
+            dict(_raw_request(id="run"), inputs=[[0.1, 0.2]]),
+            {"id": "s", "type": "stats"},
+        ]
+        stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+        stdout = io.StringIO()
+        assert serve_stdio(stdin, stdout, jobs=1, max_pending=1) == 0
+        got = {r["id"]: r for r in map(json.loads,
+                                      stdout.getvalue().splitlines())}
+        assert got["flat"]["ok"] is False
+        assert "2-D shape" in got["flat"]["error"]
+        for key in ("list", "run"):
+            assert got[key]["ok"] is False
+            assert "inputs must be a JSON object" in got[key]["error"]
+        assert got["s"]["stats"]["scene_store"]["resident"] == 0
+
     def test_unknown_request_type_rejected(self):
         stdin = io.StringIO(json.dumps({"id": 1, "type": "bogus"}) + "\n")
         stdout = io.StringIO()
@@ -445,7 +465,7 @@ class TestRequestDecoding:
         assert "'jobz'" in str(err.value)
         assert "'Backend'" in str(err.value)
 
-    @pytest.mark.parametrize("seed", [None, 1.5, True, "7"])
+    @pytest.mark.parametrize("seed", [None, 1.5, True, "7", -1])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             decode_request(_raw_request(seed=seed))

@@ -22,6 +22,7 @@ import asyncio
 import gc
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -129,13 +130,26 @@ class TestSceneStore:
         with SceneStore(max_cached_scenes=0) as store:
             digest = store.pin(inputs).digest
             assert store.resident == 1
-            fields, shape = store.checkout(digest)
+            ref, shape = store.checkout(digest)
             assert shape == inputs["image"].shape
-            assert [f[0] for f in fields] == ["image"]
+            assert [f[0] for f in ref.fields] == ["image"]
             store.release(digest)
             assert store.resident == 1   # the pin holds it
             store.unpin(digest)
             assert store.resident == 0
+        assert _my_segments() == []
+
+    @pytest.mark.parametrize("inputs", [
+        {"image": np.arange(5.0)},                          # 1-D
+        {"image": np.zeros((2, 2, 2))},                     # 3-D
+        {"image": np.zeros((2, 2)), "aux": np.zeros((2, 3))},
+        {},
+    ])
+    def test_unusable_scene_rejected_before_publish(self, inputs):
+        with SceneStore() as store:
+            with pytest.raises(ValueError, match="one 2-D shape"):
+                store.pin(inputs)
+            assert store.stats()["resident"] == 0
         assert _my_segments() == []
 
     def test_close_is_final_and_idempotent(self):
@@ -156,21 +170,28 @@ class TestSceneStore:
         gc.collect()
         assert _my_segments() == []
 
-    def test_fetch_tile_matches_parent_side_slice(self):
+    @pytest.mark.parametrize("kind", ("dict", "SceneRef"))
+    def test_fetch_tile_matches_parent_side_slice(self, kind):
         img = _image(10)
         aux = img * 0.5
+        inputs = {"image": img, "aux": aux}
         with SceneStore() as store:
-            t = store.publish({"image": img, "aux": aux})
-            ref = store.tile_ref(t.digest, (2, 7, 1, 9))
-            got = fetch_tile(ref)
+            t = store.publish(inputs)
+            scene = inputs if kind == "dict" else t.ref
+            window = (2, 7, 1, 9)
+            got = fetch_tile(scene, window)
             np.testing.assert_array_equal(
                 got["image"], img[2:7, 1:9].copy().ravel())
             np.testing.assert_array_equal(
                 got["aux"], aux[2:7, 1:9].copy().ravel())
-            # copies, not shm views: mutating the result is kernel-safe
+            # copies, not views: mutating the result is kernel-safe
             got["image"][:] = -1.0
             np.testing.assert_array_equal(
-                fetch_tile(ref)["image"], img[2:7, 1:9].ravel())
+                fetch_tile(scene, window)["image"], img[2:7, 1:9].ravel())
+            # a full-width window ravels a copy too, never the caller's
+            # (or the shared) buffer
+            full = fetch_tile(scene, (0, 4, 0, 10))["image"]
+            assert not np.shares_memory(full, img)
             store.release(t.digest)
 
 
@@ -262,6 +283,47 @@ class TestTransportIdentity:
 
 
 # ----------------------------------------------------------------------
+# task format: one request header plus the tiles' windows
+# ----------------------------------------------------------------------
+class TestTaskFormat:
+    def test_four_tile_chunk_pickles_small(self):
+        # an 8x8 request at tile 4 ships as one 4-tile task; the header
+        # travels once, so the task stays well under the 1,038 B the
+        # per-tile tuples of a 4-tile chunk used to pickle to
+        inputs = gamma_correct_inputs(_image(8))
+        with SceneStore() as store:
+            plan = executor.build_tile_tasks(
+                "gamma_correct", inputs, 32, tile=4, seed=1,
+                kernel_kwargs={"gamma": 0.5}, scene_store=store)
+            assert len(plan.grid) == 4
+            assert len(pickle.dumps(plan.task(0, 4))) <= 400
+            store.release(plan.scene.digest)
+
+    def test_chunk_equals_its_one_tile_tasks(self):
+        inputs = gamma_correct_inputs(_image(10))
+        plan = executor.build_tile_tasks(
+            "gamma_correct", inputs, 32, tile=4, seed=9,
+            kernel_kwargs={"gamma": 0.5})
+        chunk = executor._run_tiles(plan.task(0, len(plan.grid)))
+        for i, (out, ledger) in enumerate(chunk):
+            (ref_out, ref_ledger), = executor._run_tiles(plan.task(i, i + 1))
+            np.testing.assert_array_equal(out, ref_out)
+            assert ledger.energy_j == ref_ledger.energy_j
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**70])
+    def test_tile_seed_is_the_spawned_child(self, seed):
+        # the determinism contract: a worker keying tile i's sequence by
+        # its index draws exactly what spawn(n)[i] would
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(50)):
+            keyed = np.random.SeedSequence(seed, spawn_key=(i,))
+            np.testing.assert_array_equal(keyed.generate_state(4),
+                                          child.generate_state(4))
+            np.testing.assert_array_equal(
+                np.random.default_rng(keyed).random(3),
+                np.random.default_rng(child).random(3))
+
+
+# ----------------------------------------------------------------------
 # hygiene: teardown paths must not leak segments
 # ----------------------------------------------------------------------
 def _slow_kernel(engine, image, length):
@@ -275,6 +337,21 @@ def _kill_kernel(engine, image, length):
 
 
 class TestShmHygiene:
+    @pytest.mark.parametrize("via", ("jobs", "pool"))
+    def test_run_tiled_without_store_leaves_no_segments(self, via):
+        inputs = gamma_correct_inputs(_image(10))
+        kwargs = dict(tile=4, seed=4, kernel_kwargs={"gamma": 0.5})
+        base, _ = run_tiled("gamma_correct", inputs, 32, jobs=1, **kwargs)
+        if via == "jobs":
+            out, _ = run_tiled("gamma_correct", inputs, 32, jobs=2,
+                               **kwargs)
+        else:
+            with WorkerPool(2) as pool:
+                out, _ = run_tiled("gamma_correct", inputs, 32, pool=pool,
+                                   **kwargs)
+        np.testing.assert_array_equal(base, out)
+        assert _my_segments() == []
+
     def test_no_segments_after_normal_shutdown(self):
         img = _image(10)
         with ServingClient(jobs=2) as client:

@@ -51,6 +51,7 @@ attribute types would drown the rules in false edges.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -141,6 +142,40 @@ class _Module:
         return ".".join(parts) if parts else None
 
 
+def executed_calls(func: ast.AST) -> List[ast.Call]:
+    """The calls that run when ``func`` runs: its body's in ``ast.walk``
+    order, then those of the nested defs it calls.
+
+    A nested sync def's body counts only if ``func`` calls it by name: a
+    closure that is merely defined (returned by a factory, or handed to
+    ``run_in_executor``) runs wherever it is later called.  Lambda
+    bodies count; nested ``async def`` bodies never do (calling one
+    only builds a coroutine).
+    """
+    nested: Dict[str, ast.AST] = {}
+    calls: List[ast.Call] = []
+
+    def collect(root: ast.AST) -> None:
+        todo = deque(ast.iter_child_nodes(root))
+        while todo:
+            node = todo.popleft()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested[node.name] = node
+                continue
+            if isinstance(node, ast.Call):
+                calls.append(node)
+            todo.extend(ast.iter_child_nodes(node))
+
+    collect(func)
+    done: Set[str] = set()
+    for call in calls:   # grows as called nested defs are collected
+        name = call.func.id if isinstance(call.func, ast.Name) else None
+        if isinstance(nested.get(name), ast.FunctionDef) and name not in done:
+            done.add(name)
+            collect(nested[name])
+    return calls
+
+
 def module_name(relpath: str) -> Optional[str]:
     """Dotted module name of a project-relative ``.py`` path.
 
@@ -204,11 +239,10 @@ class CallGraph:
 
     def _resolve_body(self, info: FunctionInfo) -> None:
         mod = self.by_relpath[info.relpath]
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call):
-                target = self.resolve_call(mod, node, info)
-                if target is not None:
-                    info.callees.append(target.key)
+        for node in executed_calls(info.node):
+            target = self.resolve_call(mod, node, info)
+            if target is not None:
+                info.callees.append(target.key)
 
     # ------------------------------------------------------------------
     # name resolution

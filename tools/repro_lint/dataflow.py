@@ -157,5 +157,7 @@ def literal_int(node: ast.AST) -> Optional[int]:
     if (isinstance(node, ast.UnaryOp)
             and isinstance(node.op, (ast.USub, ast.UAdd))):
         inner = literal_int(node.operand)
-        return inner if inner is None or isinstance(inner, int) else None
+        if inner is None or isinstance(node.op, ast.UAdd):
+            return inner
+        return -inner
     return None

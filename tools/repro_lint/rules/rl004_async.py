@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Optional, Set
 
-from ..callgraph import CallGraph, FuncKey, FunctionInfo
+from ..callgraph import CallGraph, FuncKey, FunctionInfo, executed_calls
 from ..engine import FileContext, Finding, Project, Rule, register
 from ._util import call_name
 
@@ -40,8 +40,8 @@ def _blocking_call_in(info: FunctionInfo,
     if ctx is not None:
         silenced = {s.target_line for s in ctx.suppressions
                     if "RL004" in s.codes}
-    for node in ast.walk(info.node):
-        if not isinstance(node, ast.Call) or node.lineno in silenced:
+    for node in executed_calls(info.node):
+        if node.lineno in silenced:
             continue
         name = call_name(node)
         if name in _BLOCKING_CALLS or name in _BLOCKING_BUILTINS:
@@ -160,6 +160,8 @@ Scope: src/repro/.  Flags:
 A sync `def` nested inside an `async def` is exempt at every hop count:
 its body runs where the closure is invoked (typically handed to
 `run_in_executor`, like the stdio front-end's off-loop response writer).
-Lambdas are not exempt.  `asyncio.sleep` and awaited executor hops never
-match.""",
+Likewise a sync function's nested def counts toward it only where it
+calls that def by name, so a factory returning an off-loop closure is
+not blocking.  Lambdas are not exempt.  `asyncio.sleep` and awaited
+executor hops never match.""",
     project_check=_check))
